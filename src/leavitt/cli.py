@@ -4,9 +4,11 @@ Every command reads a graph from --input (JSON: {"vertices": [...],
 "edges": [{"id", "src", "dst"}, ...]}) and writes a report to stdout,
 JSON by default, aligned text with --format text.
 
-Exit codes: 0 success; 1 malformed input (nothing on stdout); 2 the
-graph has a cycle with an exit where the command needs the no-exit
-condition; 3 an internal verification replay failed.
+Exit codes: 0 success; 1 malformed input (nothing on stdout), which
+includes an element coefficient the field cannot parse and an
+inhomogeneous --element to regular-witness; 2 the graph has a cycle
+with an exit where the command needs the no-exit condition; 3 an
+internal verification replay failed.
 """
 
 from __future__ import annotations
@@ -160,7 +162,12 @@ def cmd_regular_witness(args) -> int:
     rng = random.Random(args.seed)
     witnesses = []
     if args.element:
-        elements = [_load_element(report.algebra, args.element)]
+        a = _load_element(report.algebra, args.element)
+        if not a.is_homogeneous():
+            raise GraphError(
+                "the element is not homogeneous; graded inner inverses need one degree"
+            )
+        elements = [a]
     else:
         elements = [sample_homogeneous(report.algebra, rng) for _ in range(args.samples)]
     for a in elements:

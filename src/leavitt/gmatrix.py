@@ -68,14 +68,6 @@ class GradedMatrixAlgebra:
             raise IndexError(f"unit position ({i}, {j}) out of range for n = {self.n}")
         return self.base.homogeneous_degree(x) + self.shifts[i] - self.shifts[j]
 
-    def entry_degrees(self, m: int):
-        """For each (i, j), the base degree the (i, j) entry of a
-        degree-m matrix must be concentrated in."""
-        return [
-            [m + self.shifts[j] - self.shifts[i] for j in range(self.n)]
-            for i in range(self.n)
-        ]
-
     def hom_component_dim(self, m: int) -> int:
         """Dimension over the ground field of the degree-m component.
 
@@ -98,9 +90,7 @@ class GradedMatrixAlgebra:
         return "K"
 
     def entry_to_json(self, x):
-        if self.is_laurent:
-            return self.base.to_json(x)
-        return self.base.format(x)
+        return self.base.to_json(x)
 
     def entry_from_json(self, data):
         return self.base.parse(data)

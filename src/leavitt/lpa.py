@@ -254,9 +254,13 @@ class LeavittAlgebra:
             try:
                 p = self.graph.path(rec["p_base"], tuple(rec["p"]))
                 q = self.graph.path(rec["q_base"], tuple(rec["q"]))
-                c = self.field.parse(rec["coeff"])
+                coeff = rec["coeff"]
             except (KeyError, TypeError) as exc:
                 raise GraphError(f"malformed element term: {exc}") from None
+            try:
+                c = self.field.parse(coeff)
+            except (TypeError, ValueError, ZeroDivisionError) as exc:
+                raise GraphError(f"malformed coefficient {coeff!r}: {exc}") from None
             pairs.append((Monomial(p, q), c))
         return self.element(pairs)
 

@@ -9,10 +9,11 @@ Three coefficient domains, all exact:
   exponent a multiple of the step t).
 
 All three expose the same small protocol (zero/one/add/sub/mul/neg/
-is_zero/parse/format plus the grading hooks ``has_component``,
-``component``, ``star`` and ``homogeneous_degree``) so matrix code can
-stay generic over the base.  A field is viewed as trivially graded:
-everything sits in degree 0.
+is_zero/parse/format/to_json plus the grading hooks ``has_component``,
+``component``, ``star``, ``homogeneous_degree``, ``monomial`` and
+``terms``) so matrix code can stay generic over the base.  A field is
+viewed as trivially graded: everything sits in degree 0, so
+``monomial(c, 0)`` is c itself and ``terms(c)`` is {0: c}.
 
 ``smith_normal_form`` diagonalizes a matrix over a LaurentRing by row and
 column operations, using the Euclidean width max(exp) - min(exp).
@@ -23,7 +24,67 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-class Rationals:
+# deterministic Miller-Rabin: these bases decide primality exactly below
+# _MR_LIMIT, the least strong pseudoprime to all of them (OEIS A014233)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_LIMIT = 318665857834031151167461
+
+
+def _is_prime(n: int) -> bool:
+    """Exact primality for n < _MR_LIMIT."""
+    if n < 2:
+        return False
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+class TriviallyGradedField:
+    """Grading hooks shared by the fields: everything sits in degree 0."""
+
+    def has_component(self, d: int) -> bool:
+        return d == 0
+
+    def component(self, a, d: int):
+        return a if d == 0 else self.zero()
+
+    def star(self, a):
+        return a
+
+    def homogeneous_degree(self, a) -> int:
+        if self.is_zero(a):
+            raise ValueError("zero has no degree")
+        return 0
+
+    def monomial(self, coeff, exp: int):
+        if exp != 0:
+            raise ValueError(f"a field has no component of degree {exp}")
+        return coeff
+
+    def terms(self, a) -> dict:
+        """The nonzero homogeneous components, keyed by degree."""
+        return {} if self.is_zero(a) else {0: a}
+
+    def to_json(self, a):
+        return self.format(a)
+
+
+class Rationals(TriviallyGradedField):
     """The field Q.  Elements are `fractions.Fraction` values."""
 
     characteristic = 0
@@ -63,21 +124,6 @@ class Rationals:
     def format(self, a) -> str:
         return str(a)
 
-    # trivial grading: the only nonzero component is degree 0
-    def has_component(self, d: int) -> bool:
-        return d == 0
-
-    def component(self, a, d: int):
-        return a if d == 0 else Fraction(0)
-
-    def star(self, a):
-        return a
-
-    def homogeneous_degree(self, a) -> int:
-        if a == 0:
-            raise ValueError("zero has no degree")
-        return 0
-
     def __eq__(self, other):
         return isinstance(other, Rationals)
 
@@ -88,18 +134,16 @@ class Rationals:
         return "Rationals()"
 
 
-class PrimeField:
+class PrimeField(TriviallyGradedField):
     """The field F_p for a prime p.  Elements are ints in range(p)."""
 
     def __init__(self, p: int):
         if p < 2:
             raise ValueError("modulus must be a prime >= 2")
-        # small trial division; moduli used here are tiny
-        d = 2
-        while d * d <= p:
-            if p % d == 0:
-                raise ValueError(f"{p} is not prime")
-            d += 1
+        if p >= _MR_LIMIT:
+            raise ValueError(f"modulus {p} is too large; primality is decided below {_MR_LIMIT}")
+        if not _is_prime(p):
+            raise ValueError(f"{p} is not prime")
         self.p = p
         self.characteristic = p
 
@@ -137,20 +181,6 @@ class PrimeField:
 
     def format(self, a) -> str:
         return str(a % self.p)
-
-    def has_component(self, d: int) -> bool:
-        return d == 0
-
-    def component(self, a, d: int):
-        return a % self.p if d == 0 else 0
-
-    def star(self, a):
-        return a
-
-    def homogeneous_degree(self, a) -> int:
-        if a % self.p == 0:
-            raise ValueError("zero has no degree")
-        return 0
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -351,6 +381,10 @@ class LaurentRing:
         if len(a.terms) != 1:
             raise ValueError("not homogeneous: " + self.format(a))
         return next(iter(a.terms))
+
+    def terms(self, a: LaurentElement) -> dict:
+        """The nonzero homogeneous components: exponent -> coefficient."""
+        return a.terms
 
     # -- io ----------------------------------------------------------------
 

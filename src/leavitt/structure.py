@@ -10,14 +10,18 @@ per cycle:
   the paths ending at c.base that do not contain the based cycle,
   regraded the same way.
 
-``phi`` realizes the splitting on generators: a vertex goes to a sum of
-diagonal matrix units, an edge f to a sum of units e_ik (one for each
-index path q_k with s(q_k) = r(f), where f q_k rewinds to q_i times a
-power of the cycle), ghosts to the starred images.  ``verify_phi``
-replays every defining relation on the images; ``phi_inverse_basis`` and
-``pull_back`` invert the map explicitly, sending the matrix unit
-e_ij(x^(w t)) back to the canonical form of q_i c^w q_j* (a negative w
-putting the cycle power on the ghost side).
+Each generator image, and the image of every monomial p q*, is a
+monomial matrix given in closed form.  A block with index paths
+q_0, ..., q_(n-1) and cycle c (None at a sink, where every winding is
+0) factors p q_k = q_i c^w for each k with s(q_k) = r(p); then p q*
+maps to the sum over those k of e_(i_p, i_q)(x^((w_p - w_q) t)).
+``GeneratorImages.apply`` accumulates exactly these entries, and
+``phi`` is ``apply`` on the vertices, edges and ghosts.  ``verify_phi``
+replays every defining relation on the images by dense matrix
+products, so it checks the closed form rather than trusting it.
+``phi_inverse_basis`` and ``pull_back`` invert the map explicitly,
+sending the matrix unit e_ij(x^(w t)) back to the canonical form of
+q_i c^w q_j* (a negative w putting the cycle power on the ghost side).
 
 ``classify`` reports the graded structure flags; they all reduce to the
 no-exit condition.  ``dim_series_check`` compares graded dimensions on
@@ -26,12 +30,13 @@ both sides of phi degree by degree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
+from functools import cached_property
 
-from .gmatrix import GradedMatrix, GradedMatrixAlgebra
+from .gmatrix import GradedMatrixAlgebra
 from .graph import (
-    Cycle,
     Graph,
+    Path,
     concat,
     cycle_power,
     factor_through_cycle,
@@ -128,15 +133,15 @@ def classify(g: Graph) -> TypeReport:
 
 @dataclass(frozen=True)
 class Block:
-    """One matrix summand: a sink block over K or a cycle block over
-    K[x^t, x^(-t)], with its index paths and grading shifts.
+    """One matrix summand: M_n(K) at a sink, M_n(K[x^t, x^(-t)]) at a
+    cycle of length t, with its index paths and grading shifts.
 
-    `index_paths[k]` is the k-th basis path into the sink (or into the
-    cycle base, cycle-free); `shifts[k]` is its length.  `cycle` is None
-    for sink blocks; `anchor` is the sink vertex or the cycle base.
+    `index_paths[k]` is the k-th basis path into the anchor (the sink, or
+    the cycle base, cycle-free); `shifts[k]` is its length.  `cycle` is
+    None at a sink: there every path into the anchor is an index path,
+    every winding is 0 and `t` counts as 1.
     """
 
-    kind: str
     anchor: str
     cycle: object
     index_paths: tuple
@@ -144,8 +149,44 @@ class Block:
     algebra: GradedMatrixAlgebra
 
     @property
+    def kind(self) -> str:
+        return "sink" if self.cycle is None else "cycle"
+
+    @property
     def n(self) -> int:
         return len(self.index_paths)
+
+    @property
+    def t(self) -> int:
+        return 1 if self.cycle is None else self.cycle.length
+
+    @cached_property
+    def _index(self) -> dict:
+        return {q: k for k, q in enumerate(self.index_paths)}
+
+    def locate(self, g: Graph, p: Path, k: int):
+        """(i, w) with p q_k = q_i c^w; needs r(p) = s(q_k)."""
+        path, w = concat(p, self.index_paths[k]), 0
+        if self.cycle is not None:
+            path, w = factor_through_cycle(g, self.cycle, path)
+        i = self._index.get(path)
+        if i is None:
+            raise VerificationError(
+                f"path {path} missed the index set of the {self.kind} block at {self.anchor}"
+            )
+        return i, w
+
+    def preimage(self, i: int, j: int, w: int = 0) -> Monomial:
+        """The path pair q_i c^w q_j* mapping to the unit e_ij(x^(w t)); for
+        w < 0 the cycle power sits on the ghost side, q_i (q_j c^(-w))*."""
+        qi, qj = self.index_paths[i], self.index_paths[j]
+        if w == 0:
+            return Monomial(qi, qj)
+        if self.cycle is None:
+            raise ValueError("sink blocks carry no cycle power; w must be 0")
+        if w > 0:
+            return Monomial(concat(qi, cycle_power(self.cycle, w)), qj)
+        return Monomial(qi, concat(qj, cycle_power(self.cycle, -w)))
 
     def to_json(self) -> dict:
         out = {
@@ -154,11 +195,11 @@ class Block:
             "shifts": list(self.shifts),
             "base": self.algebra.base_to_json(),
         }
-        if self.kind == "sink":
+        if self.cycle is None:
             out["vertex"] = self.anchor
         else:
             out["cycle"] = self.cycle.to_json()
-            out["t"] = self.cycle.length
+            out["t"] = self.t
         return out
 
 
@@ -172,9 +213,6 @@ class DecompositionReport:
     @property
     def graph(self) -> Graph:
         return self.algebra.graph
-
-    def block_algebras(self):
-        return tuple(b.algebra for b in self.blocks)
 
     def to_json(self) -> dict:
         return {
@@ -204,34 +242,16 @@ def decompose(algebra_or_graph, field=None) -> DecompositionReport:
     g = algebra.graph
     _require_no_exit(g)
 
-    blocks = []
-    for v in sorted(sinks(g)):
-        paths = paths_into(g, v)
+    def block(anchor, cycle, paths, base):
         shifts = tuple(len(p.edges) for p in paths)
-        blocks.append(
-            Block(
-                kind="sink",
-                anchor=v,
-                cycle=None,
-                index_paths=paths,
-                shifts=shifts,
-                algebra=GradedMatrixAlgebra(algebra.field, shifts),
-            )
-        )
-    for c in simple_cycles(g):
-        paths = paths_into_cycle(g, c)
-        shifts = tuple(len(p.edges) for p in paths)
-        ring = LaurentRing(algebra.field, c.length)
-        blocks.append(
-            Block(
-                kind="cycle",
-                anchor=c.base,
-                cycle=c,
-                index_paths=paths,
-                shifts=shifts,
-                algebra=GradedMatrixAlgebra(ring, shifts),
-            )
-        )
+        return Block(anchor, cycle, paths, shifts, GradedMatrixAlgebra(base, shifts))
+
+    K = algebra.field
+    blocks = [block(v, None, paths_into(g, v), K) for v in sorted(sinks(g))]
+    blocks += [
+        block(c.base, c, paths_into_cycle(g, c), LaurentRing(K, c.length))
+        for c in simple_cycles(g)
+    ]
     if not blocks:
         raise VerificationError("no sinks and no cycles in a finite graph; impossible")
     return DecompositionReport(algebra=algebra, blocks=tuple(blocks))
@@ -247,15 +267,16 @@ class GeneratorImages:
     """Images of every generator under the block isomorphism.
 
     `vertices[v]`, `edges[e]`, `ghosts[e]` are tuples of GradedMatrix,
-    one per block.  `apply` extends multiplicatively and linearly to any
-    element of the algebra.
+    one per block.  `apply` maps any element of the algebra by the closed
+    form and reads only the report, never these dicts: a caller that
+    edits an image (as `leavitt verify-iso --corrupt` does) changes what
+    `verify_phi` replays, not what `apply` computes.
     """
 
     report: DecompositionReport
     vertices: dict
     edges: dict
     ghosts: dict
-    _path_cache: dict = dataclass_field(default_factory=dict)
 
     def zero(self):
         return tuple(b.algebra.zero() for b in self.report.blocks)
@@ -263,40 +284,32 @@ class GeneratorImages:
     def identity(self):
         return tuple(b.algebra.identity() for b in self.report.blocks)
 
-    def _image_of_path(self, p):
-        if p.is_empty:
-            return self.vertices[p.base]
-        cached = self._path_cache.get(p)
-        if cached is not None:
-            return cached
-        acc = self.edges[p.edges[0]]
-        for eid in p.edges[1:]:
-            nxt = self.edges[eid]
-            acc = tuple(a * b for a, b in zip(acc, nxt))
-        self._path_cache[p] = acc
-        return acc
-
     def apply(self, x: LpaElement):
-        """Image of an arbitrary element: a tuple of block matrices."""
-        out = list(self.zero())
-        for m, c in x.terms.items():
-            left = self._image_of_path(m.p)
-            right = self._image_of_path(m.q)
-            for k, b in enumerate(self.report.blocks):
-                prod = left[k] * right[k].star()
-                out[k] = out[k] + _scale_by_field(b, prod, c)
+        """Image of an arbitrary element: a tuple of block matrices.
+
+        In each block, a term c p q* puts c x^((w_p - w_q) t) at
+        (i_p, i_q) for every column k with s(q_k) = r(p), where
+        p q_k = q_(i_p) c^(w_p) and q q_k = q_(i_q) c^(w_q).
+        """
+        g = self.report.graph
+        out = []
+        for block in self.report.blocks:
+            base = block.algebra.base
+            grid = [[base.zero()] * block.n for _ in range(block.n)]
+            for m, c in x.terms.items():
+                for k, q in enumerate(block.index_paths):
+                    if q.base != m.p.end:
+                        continue
+                    i, wp = block.locate(g, m.p, k)
+                    j, wq = block.locate(g, m.q, k)
+                    grid[i][j] = base.add(grid[i][j], base.monomial(c, (wp - wq) * block.t))
+            out.append(block.algebra.matrix(grid))
         return tuple(out)
 
 
-def _scale_by_field(block: Block, mat: GradedMatrix, c) -> GradedMatrix:
-    base = block.algebra.base
-    if isinstance(base, LaurentRing):
-        return mat.scale(base.monomial(c, 0))
-    return mat.scale(c)
-
-
 def phi(algebra_or_report, field=None) -> GeneratorImages:
-    """Build the generator images of the block isomorphism.
+    """Build the generator images of the block isomorphism: `apply` on
+    every vertex, edge and ghost.
 
     For each block with index paths q_0, ..., q_(n-1):
 
@@ -312,53 +325,15 @@ def phi(algebra_or_report, field=None) -> GeneratorImages:
         report = algebra_or_report
     else:
         report = decompose(algebra_or_report, field)
+    A = report.algebra
     g = report.graph
-
-    vertices = {v: [] for v in g.vertices}
-    edges = {e.id: [] for e in g.edges}
-
-    for block in report.blocks:
-        lookup = {p: k for k, p in enumerate(block.index_paths)}
-        for v in g.vertices:
-            acc = block.algebra.zero()
-            for k, q in enumerate(block.index_paths):
-                if q.base == v:
-                    acc = acc + block.algebra.unit(k, k, block.algebra.base.one())
-            vertices[v].append(acc)
-        for e in g.edges:
-            acc = block.algebra.zero()
-            for k, q in enumerate(block.index_paths):
-                if q.base != e.dst:
-                    continue
-                extended = concat(g.path(e.src, (e.id,)), q)
-                if block.kind == "sink":
-                    i = lookup.get(extended)
-                    if i is None:
-                        raise VerificationError(
-                            f"path {extended} through edge {e.id} missed the index set "
-                            f"of the sink block at {block.anchor}"
-                        )
-                    acc = acc + block.algebra.unit(i, k, block.algebra.base.one())
-                else:
-                    stripped, w = factor_through_cycle(g, block.cycle, extended)
-                    i = lookup.get(stripped)
-                    if i is None:
-                        raise VerificationError(
-                            f"path {stripped} through edge {e.id} missed the index set "
-                            f"of the cycle block at {block.anchor}"
-                        )
-                    x = block.algebra.base.monomial(
-                        block.algebra.base.field.one(), w * block.cycle.length
-                    )
-                    acc = acc + block.algebra.unit(i, k, x)
-            edges[e.id].append(acc)
-
-    vertex_images = {v: tuple(mats) for v, mats in vertices.items()}
-    edge_images = {eid: tuple(mats) for eid, mats in edges.items()}
-    ghost_images = {eid: tuple(m.star() for m in mats) for eid, mats in edge_images.items()}
-    return GeneratorImages(
-        report=report, vertices=vertex_images, edges=edge_images, ghosts=ghost_images
-    )
+    images = GeneratorImages(report=report, vertices={}, edges={}, ghosts={})
+    for v in g.vertices:
+        images.vertices[v] = images.apply(A.vertex(v))
+    for e in g.edges:
+        images.edges[e.id] = images.apply(A.edge(e.id))
+        images.ghosts[e.id] = images.apply(A.ghost(e.id))
+    return images
 
 
 # ---------------------------------------------------------------------------
@@ -514,14 +489,7 @@ def phi_inverse_basis(report: DecompositionReport, block_index: int, i: int, j: 
         raise IndexError(f"no block {block_index}; have {len(report.blocks)}") from None
     if not (0 <= i < block.n and 0 <= j < block.n):
         raise IndexError(f"unit position ({i}, {j}) out of range for block size {block.n}")
-    if block.kind == "sink":
-        if w != 0:
-            raise ValueError("sink blocks carry no cycle power; w must be 0")
-        return algebra.monomial_element(block.index_paths[i], block.index_paths[j])
-    qi, qj = block.index_paths[i], block.index_paths[j]
-    if w >= 0:
-        return algebra.monomial_element(concat(qi, cycle_power(block.cycle, w)), qj)
-    return algebra.monomial_element(qi, concat(qj, cycle_power(block.cycle, -w)))
+    return algebra.normal_form({block.preimage(i, j, w): algebra.field.one()})
 
 
 def pull_back(report: DecompositionReport, mats) -> LpaElement:
@@ -531,31 +499,15 @@ def pull_back(report: DecompositionReport, mats) -> LpaElement:
     if len(mats) != len(report.blocks):
         raise ValueError(f"expected {len(report.blocks)} block matrices, got {len(mats)}")
     raw: dict = {}
-
-    def put(m: Monomial, c):
-        acc = field.add(raw.get(m, field.zero()), c)
-        raw[m] = acc
-
     for block, mat in zip(report.blocks, mats):
         if mat.algebra != block.algebra:
             raise ValueError("block matrix bound to the wrong graded algebra")
+        terms = block.algebra.base.terms
         for i in range(block.n):
-            qi = block.index_paths[i]
             for j in range(block.n):
-                qj = block.index_paths[j]
-                x = mat.entry(i, j)
-                if block.kind == "sink":
-                    if not field.is_zero(x):
-                        put(Monomial(qi, qj), x)
-                else:
-                    t = block.cycle.length
-                    for exp, c in x.terms.items():
-                        w = exp // t
-                        if w >= 0:
-                            m = Monomial(concat(qi, cycle_power(block.cycle, w)), qj)
-                        else:
-                            m = Monomial(qi, concat(qj, cycle_power(block.cycle, -w)))
-                        put(m, c)
+                for exp, c in terms(mat.entry(i, j)).items():
+                    m = block.preimage(i, j, exp // block.t)
+                    raw[m] = field.add(raw.get(m, field.zero()), c)
     return algebra.normal_form(raw)
 
 

@@ -94,6 +94,45 @@ def test_malformed_input_is_exit_1(tmp_path, capsys):
     assert code == 1 and out == ""
 
 
+def _element_file(tmp_path, terms):
+    path = tmp_path / "elem.json"
+    path.write_text(json.dumps(terms))
+    return str(path)
+
+
+def _assert_malformed(code, out, err):
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: malformed input: ")
+
+
+@pytest.mark.parametrize(
+    "coeff, field",
+    [("abc", "q"), ("1/0", "q"), ("1.5", "fp:7")],
+    ids=["not-a-number", "zero-denominator", "fraction-over-fp"],
+)
+def test_unparsable_coefficient_is_exit_1(tmp_path, capsys, coeff, field):
+    p = write_graph(tmp_path, build_corpus()["loop"])
+    elem = _element_file(
+        tmp_path, [{"p": ["c"], "p_base": "v1", "q": [], "q_base": "v1", "coeff": coeff}]
+    )
+    argv = ["regular-witness", "--input", p, "--element", elem, "--field", field]
+    _assert_malformed(*run_main(capsys, argv))
+
+
+def test_inhomogeneous_regular_witness_element_is_exit_1(tmp_path, capsys):
+    p = write_graph(tmp_path, build_corpus()["loop"])
+    elem = _element_file(
+        tmp_path,
+        [
+            {"p": ["c"], "p_base": "v1", "q": [], "q_base": "v1", "coeff": "1"},
+            {"p": [], "p_base": "v1", "q": [], "q_base": "v1", "coeff": "1"},
+        ],
+    )
+    argv = ["regular-witness", "--input", p, "--element", elem]
+    _assert_malformed(*run_main(capsys, argv))
+
+
 def test_dims_all_equal(tmp_path, capsys):
     p = write_graph(tmp_path, build_corpus()["tree"])
     code, out, _ = run_main(capsys, ["dims", "--input", p, "--bound", "6"])

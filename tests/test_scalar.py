@@ -57,6 +57,68 @@ def test_prime_field_rejects_composite_order():
         PrimeField(10003)
 
 
+def _trial_division(n):
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def _accepted(p):
+    try:
+        PrimeField(p)
+    except ValueError:
+        return False
+    return True
+
+
+def test_prime_field_accepts_large_primes():
+    # trial division up to sqrt(2^61 - 1) would not finish
+    for p in (2**31 - 1, 2**61 - 1):
+        assert PrimeField(p).p == p
+
+
+def test_prime_field_rejects_pseudoprimes():
+    # 561 is a Carmichael number; 3215031751 is a strong pseudoprime to
+    # the bases 2, 3, 5 and 7 at once
+    for n in (561, 3215031751):
+        with pytest.raises(ValueError):
+            PrimeField(n)
+
+
+def test_prime_field_rejects_moduli_beyond_the_exact_range():
+    # the least strong pseudoprime to every base 2..37 is composite; it and
+    # everything above it is refused rather than guessed at
+    n = 318665857834031151167461
+    assert n == 399165290221 * 798330580441
+    for m in (n, n + 2, 2**89 - 1):
+        with pytest.raises(ValueError, match="too large"):
+            PrimeField(m)
+
+
+def test_prime_field_agrees_with_trial_division():
+    for n in range(10**4):
+        assert _accepted(n) is _trial_division(n), n
+
+
+def test_fields_share_trivial_grading():
+    for K, c in ((Rationals(), Fraction(3, 4)), (PrimeField(7), 5)):
+        assert K.monomial(c, 0) == c
+        with pytest.raises(ValueError):
+            K.monomial(c, 1)
+        assert K.terms(c) == {0: c} and K.terms(K.zero()) == {}
+        assert K.component(c, 0) == c and K.is_zero(K.component(c, 1))
+        assert K.star(c) == c and K.homogeneous_degree(c) == 0
+        assert K.to_json(c) == K.format(c)
+    R = LaurentRing(Rationals(), 3)
+    a = R.from_terms({3: Fraction(2), -6: Fraction(1)})
+    assert R.terms(a) == {3: Fraction(2), -6: Fraction(1)}
+
+
 def test_field_equality():
     assert Rationals() == Rationals()
     assert PrimeField(5) == PrimeField(5)
