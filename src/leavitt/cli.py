@@ -8,7 +8,8 @@ Exit codes: 0 success; 1 malformed input (nothing on stdout), which
 includes an element coefficient the field cannot parse and an
 inhomogeneous --element to regular-witness; 2 the graph has a cycle
 with an exit where the command needs the no-exit condition; 3 an
-internal verification replay failed.
+internal verification replay failed; 4 any other internal error (one
+``error: internal: ...`` line on stderr, nothing on stdout).
 """
 
 from __future__ import annotations
@@ -289,6 +290,9 @@ def main(argv=None) -> int:
     except (VerificationError, NotRegularError) as exc:
         print(f"error: verification failed: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -9,6 +9,9 @@ e_ij(x) is homogeneous of degree deg(x) + d_i - d_j.
 
 ``hom_component_dim`` counts a basis of one homogeneous component: one
 generator per entry position the base ring can populate in that degree.
+
+Products, ``is_homogeneous`` and ``component`` visit nonzero entries
+only; storage stays a dense row grid (``entries``, a tuple of rows).
 """
 
 from __future__ import annotations
@@ -157,17 +160,24 @@ class GradedMatrix:
         return self + (-other)
 
     def __mul__(self, other):
+        """Row i of the product sums x * (row k of other) over the nonzero
+        x = self[i][k], visiting only the nonzeros of that row."""
         self._check_same(other)
         b = self.algebra.base
+        is_zero, add, mul = b.is_zero, b.add, b.mul
+        z = b.zero()
         n = self.algebra.n
+        support = [
+            [(j, y) for j, y in enumerate(row) if not is_zero(y)] for row in other.entries
+        ]
         rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = b.zero()
-                for k in range(n):
-                    acc = b.add(acc, b.mul(self.entries[i][k], other.entries[k][j]))
-                row.append(acc)
+        for left in self.entries:
+            row = [z] * n
+            for k, x in enumerate(left):
+                if is_zero(x):
+                    continue
+                for j, y in support[k]:
+                    row[j] = add(row[j], mul(x, y))
             rows.append(tuple(row))
         return GradedMatrix(self.algebra, tuple(rows))
 
@@ -193,11 +203,13 @@ class GradedMatrix:
     def is_homogeneous(self, m: int) -> bool:
         """Does every entry sit in the base component forced by degree m?"""
         b = self.algebra.base
-        for i in range(self.algebra.n):
-            for j in range(self.algebra.n):
-                x = self.entries[i][j]
-                d = m + self.algebra.shifts[j] - self.algebra.shifts[i]
-                if not b.is_zero(b.sub(x, b.component(x, d))):
+        shifts = self.algebra.shifts
+        for i, row in enumerate(self.entries):
+            for j, x in enumerate(row):
+                # a zero entry lies in every component
+                if b.is_zero(x):
+                    continue
+                if not b.is_zero(b.sub(x, b.component(x, m + shifts[j] - shifts[i]))):
                     return False
         return True
 
@@ -223,14 +235,17 @@ class GradedMatrix:
 
     def component(self, m: int) -> "GradedMatrix":
         b = self.algebra.base
-        rows = []
-        for i in range(self.algebra.n):
-            row = []
-            for j in range(self.algebra.n):
-                d = m + self.algebra.shifts[j] - self.algebra.shifts[i]
-                row.append(b.component(self.entries[i][j], d))
-            rows.append(tuple(row))
-        return GradedMatrix(self.algebra, tuple(rows))
+        shifts = self.algebra.shifts
+        return GradedMatrix(
+            self.algebra,
+            tuple(
+                tuple(
+                    x if b.is_zero(x) else b.component(x, m + shifts[j] - shifts[i])
+                    for j, x in enumerate(row)
+                )
+                for i, row in enumerate(self.entries)
+            ),
+        )
 
     def __eq__(self, other):
         return (

@@ -54,6 +54,13 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _check_coefficient(s) -> None:
+    """Coefficients are read from strings or integers only: a JSON float
+    (1.5, 0.1) has already lost its decimal text."""
+    if isinstance(s, bool) or not isinstance(s, (str, int)):
+        raise ValueError(f"a coefficient must be a string or an integer, not {s!r}")
+
+
 class TriviallyGradedField:
     """Grading hooks shared by the fields: everything sits in degree 0."""
 
@@ -118,7 +125,8 @@ class Rationals(TriviallyGradedField):
     def is_zero(self, a) -> bool:
         return a == 0
 
-    def parse(self, s: str):
+    def parse(self, s):
+        _check_coefficient(s)
         return Fraction(s)
 
     def format(self, a) -> str:
@@ -176,7 +184,8 @@ class PrimeField(TriviallyGradedField):
     def is_zero(self, a) -> bool:
         return a % self.p == 0
 
-    def parse(self, s: str):
+    def parse(self, s):
+        _check_coefficient(s)
         return int(s) % self.p
 
     def format(self, a) -> str:

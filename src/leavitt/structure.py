@@ -17,8 +17,9 @@ q_0, ..., q_(n-1) and cycle c (None at a sink, where every winding is
 maps to the sum over those k of e_(i_p, i_q)(x^((w_p - w_q) t)).
 ``GeneratorImages.apply`` accumulates exactly these entries, and
 ``phi`` is ``apply`` on the vertices, edges and ghosts.  ``verify_phi``
-replays every defining relation on the images by dense matrix
-products, so it checks the closed form rather than trusting it.
+replays every defining relation on the images by matrix products (which
+visit only the nonzero entries of these monomial matrices), so it checks
+the closed form rather than trusting it.
 ``phi_inverse_basis`` and ``pull_back`` invert the map explicitly,
 sending the matrix unit e_ij(x^(w t)) back to the canonical form of
 q_i c^w q_j* (a negative w putting the cycle power on the ghost side).
@@ -378,7 +379,10 @@ def verify_phi(images: GeneratorImages) -> VerificationReport:
     endpoint relations and their ghost mirrors, the ghost-edge
     contraction, the range decomposition at non-sinks, and homogeneity
     of every generator image (vertices in degree 0, edges in 1, ghosts
-    in -1).
+    in -1).  The relations are replayed by multiplying the images, never
+    by reading the closed form of ``apply``; each product visits only
+    nonzero entries, so a product of two monomial images costs O(n^2)
+    scans plus at most n scalar products per block.
     """
     report = images.report
     g = report.graph

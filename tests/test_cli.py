@@ -108,8 +108,15 @@ def _assert_malformed(code, out, err):
 
 @pytest.mark.parametrize(
     "coeff, field",
-    [("abc", "q"), ("1/0", "q"), ("1.5", "fp:7")],
-    ids=["not-a-number", "zero-denominator", "fraction-over-fp"],
+    [("abc", "q"), ("1/0", "q"), ("1.5", "fp:7"), (1.5, "fp:7"), (0.1, "q"), (True, "q")],
+    ids=[
+        "not-a-number",
+        "zero-denominator",
+        "fraction-over-fp",
+        "json-float-over-fp",
+        "json-float-over-q",
+        "json-bool",
+    ],
 )
 def test_unparsable_coefficient_is_exit_1(tmp_path, capsys, coeff, field):
     p = write_graph(tmp_path, build_corpus()["loop"])
@@ -118,6 +125,29 @@ def test_unparsable_coefficient_is_exit_1(tmp_path, capsys, coeff, field):
     )
     argv = ["regular-witness", "--input", p, "--element", elem, "--field", field]
     _assert_malformed(*run_main(capsys, argv))
+
+
+def test_decimal_string_coefficient_is_exact(tmp_path, capsys):
+    """The string "0.1" is read as exactly 1/10, unlike the JSON number 0.1."""
+    p = write_graph(tmp_path, build_corpus()["loop"])
+    elem = _element_file(
+        tmp_path, [{"p": ["c"], "p_base": "v1", "q": [], "q_base": "v1", "coeff": "0.1"}]
+    )
+    code, out, _ = run_main(capsys, ["regular-witness", "--input", p, "--element", elem])
+    assert code == 0
+    (term,) = json.loads(out)["witnesses"][0]["element"]
+    assert term["coeff"] == "1/10"
+
+
+def test_internal_error_is_exit_4(tmp_path, capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_classify", broken)
+    p = write_graph(tmp_path, build_corpus()["a3"])
+    code, out, err = run_main(capsys, ["classify", "--input", p])
+    assert code == 4 and out == ""
+    assert err.splitlines() == ["error: internal: RuntimeError: boom"]
 
 
 def test_inhomogeneous_regular_witness_element_is_exit_1(tmp_path, capsys):

@@ -190,3 +190,126 @@ def test_shape_and_algebra_guards():
         M.unit(2, 0, Q.one())
     with pytest.raises(ValueError):
         GradedMatrixAlgebra(Q, ())
+
+
+# -- the sparse product against the dense triple loop ------------------------
+
+
+def dense_product(a, b):
+    """The schoolbook n^3 product, kept as the oracle for ``*``."""
+    base = a.algebra.base
+    n = a.algebra.n
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = base.zero()
+            for k in range(n):
+                acc = base.add(acc, base.mul(a.entries[i][k], b.entries[k][j]))
+            row.append(acc)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+F7 = PrimeField(7)
+L2 = LaurentRing(Q, 2)
+
+
+def _random_scalar(base, rng):
+    if base is Q:
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    if base is F7:
+        return rng.randrange(7)
+    return base.from_terms(
+        {e: Fraction(rng.randint(-2, 2)) for e in (-4, -2, 0, 2, 4) if rng.random() < 0.4}
+    )
+
+
+def _random_nonzero(base, rng):
+    while True:
+        x = _random_scalar(base, rng)
+        if not base.is_zero(x):
+            return x
+
+
+def _dense(M, rng):
+    n = M.n
+    return M.matrix([[_random_scalar(M.base, rng) for _ in range(n)] for _ in range(n)])
+
+
+def _monomial(M, rng):
+    """At most one nonzero c * x^k per row and per column."""
+    base, n = M.base, M.n
+    rows = [[base.zero()] * n for _ in range(n)]
+    for i, j in enumerate(rng.sample(range(n), n)):
+        if rng.random() < 0.8:
+            if base is L2:
+                rows[i][j] = L2.monomial(_random_nonzero(Q, rng), 2 * rng.randint(-2, 2))
+            else:
+                rows[i][j] = _random_nonzero(base, rng)
+    return M.matrix(rows)
+
+
+def _cancelling(M, rng):
+    """A pair whose product has zero entries made of nonzero terms that
+    cancel: columns k1 and k2 of the left factor agree, row k2 of the
+    right factor is minus row k1, and every other right row vanishes on
+    a random nonempty column set J, so each column in J of the product
+    sums x*y - x*y terms to zero.  (For n = 1 the right factor is zero.)"""
+    base, n = M.base, M.n
+    a = [[_random_nonzero(base, rng) for _ in range(n)] for _ in range(n)]
+    b = [[_random_nonzero(base, rng) for _ in range(n)] for _ in range(n)]
+    if n == 1:
+        return M.matrix(a), M.zero()
+    k1, k2 = rng.sample(range(n), 2)
+    cols = rng.sample(range(n), rng.randint(1, n))
+    for row in a:
+        row[k2] = row[k1]
+    b[k2] = [base.neg(y) for y in b[k1]]
+    for k in range(n):
+        if k not in (k1, k2):
+            for j in cols:
+                b[k][j] = base.zero()
+    return M.matrix(a), M.matrix(b)
+
+
+@pytest.mark.parametrize("base", [Q, F7, L2], ids=["Q", "F7", "K[x^2,x^-2]"])
+@pytest.mark.parametrize("shape", ["dense", "monomial", "cancelling"])
+def test_product_matches_dense_oracle(base, shape):
+    rng = random.Random(f"{shape}-{base!r}")
+    zero = base.zero()
+    for n in range(1, 9):
+        M = GradedMatrixAlgebra(base, tuple(rng.randint(-2, 2) for _ in range(n)))
+        for _ in range(6):
+            if shape == "dense":
+                a, b = _dense(M, rng), _dense(M, rng)
+            elif shape == "monomial":
+                a, b = _monomial(M, rng), _monomial(M, rng)
+            else:
+                a, b = _cancelling(M, rng)
+            got = (a * b).entries
+            assert got == dense_product(a, b), (shape, n)
+            for row in got:
+                for x in row:
+                    if base.is_zero(x):
+                        # canonical: Fraction(0), 0 mod p, the empty Laurent dict
+                        assert type(x) is type(zero) and x == zero
+            if shape == "cancelling" and n > 1:
+                assert any(base.is_zero(x) for row in got for x in row)
+
+
+@pytest.mark.parametrize("base", [Q, F7, L2], ids=["Q", "F7", "K[x^2,x^-2]"])
+def test_component_and_homogeneity_match_entrywise_definition(base):
+    """The zero-skipping ``component`` and ``is_homogeneous`` against the
+    definition applied to every entry, zeros included."""
+    rng = random.Random(f"components-{base!r}")
+    for n in range(1, 6):
+        M = GradedMatrixAlgebra(base, tuple(rng.randint(-2, 2) for _ in range(n)))
+        for a in (_dense(M, rng), _monomial(M, rng), M.zero()):
+            for m in range(-6, 7):
+                want = [
+                    [base.component(a.entry(i, j), m + M.shifts[j] - M.shifts[i]) for j in range(n)]
+                    for i in range(n)
+                ]
+                assert a.component(m) == M.matrix(want)
+                assert a.is_homogeneous(m) == (a.component(m) == a)

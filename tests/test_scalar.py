@@ -29,6 +29,18 @@ def test_rationals_trivial_grading():
         Q.homogeneous_degree(Fraction(0))
 
 
+@pytest.mark.parametrize("field", [Rationals(), PrimeField(7)], ids=["Q", "F7"])
+def test_parse_reads_strings_and_integers_only(field):
+    assert field.parse(3) == field.parse("3") == field.from_int(3)
+    for number in (1.5, 0.1, 2.0, True, None, [1]):
+        with pytest.raises(ValueError):
+            field.parse(number)
+
+
+def test_rationals_parse_decimal_string_exactly():
+    assert Rationals().parse("0.1") == Fraction(1, 10)
+
+
 def test_prime_field():
     F = PrimeField(5)
     assert F.invert(2) == 3

@@ -7,6 +7,8 @@ import pytest
 from corpus import build_corpus, build_negative
 from leavitt import (
     ExitConditionError,
+    Graph,
+    GradedMatrix,
     LaurentRing,
     LeavittAlgebra,
     PrimeField,
@@ -201,6 +203,33 @@ def test_verify_phi_catches_corruption():
     result = verify_phi(im)
     assert not result.all_passed
     assert any(c.relation == "edge-degree-1" for c in result.failures())
+
+
+def test_verify_phi_multiplication_count_line_12(monkeypatch):
+    """Deterministic work gate: base-ring multiplications of the relation
+    replay on a 12-vertex line (one sink block, n = 12).  The dense
+    kernel spent n^3 = 1728 of them per product, 552960 in all."""
+    vs = [f"v{i}" for i in range(12)]
+    g = Graph(vs, [(f"e{i}", vs[i], vs[i + 1]) for i in range(11)])
+    images = phi(decompose(LeavittAlgebra(g, Rationals())))
+    counts = {"mul": 0, "products": 0}
+    field_mul, matrix_mul = Rationals.mul, GradedMatrix.__mul__
+
+    def counting_field_mul(self, a, b):
+        counts["mul"] += 1
+        return field_mul(self, a, b)
+
+    def counting_matrix_mul(self, other):
+        counts["products"] += 1
+        return matrix_mul(self, other)
+
+    monkeypatch.setattr(Rationals, "mul", counting_field_mul)
+    monkeypatch.setattr(GradedMatrix, "__mul__", counting_matrix_mul)
+    assert verify_phi(images).all_passed
+    # 144 orthogonality + 44 endpoint + 121 ghost-edge + 11 range products
+    assert counts["products"] == 320
+    assert counts["mul"] == 78
+    assert counts["mul"] <= counts["products"] * 12
 
 
 def test_verify_phi_json():
