@@ -10,11 +10,26 @@ emits an edge not belonging to the cycle.  ``no_exit_condition`` asks
 that no simple cycle has an exit; all of the matrix decomposition theory
 downstream is gated on it, and it is exactly what makes the path
 enumerations here finite without a length bound.
+
+The test never lists cycles.  A simple cycle leaves each of its vertices
+by exactly one of its own edges, so no cycle has an exit exactly when
+every vertex lying on a cycle has out-degree 1.  The vertices on cycles
+are the members of the nontrivial strongly connected components plus
+the vertices with a loop; one iterative Tarjan pass finds them in
+O(|V| + |E|).  Under the condition each such component is a single
+cycle, read off by following the unique out-edges from its smallest
+vertex.  ``Graph.no_exit_cycles`` caches the outcome on the (immutable)
+graph: the cycles sorted by base, or None when some cycle has an exit.
+``simple_cycles`` remains the general enumerator for graphs with exits.
+
+Every walk here uses an explicit stack, so graph size is never bounded
+by the interpreter's recursion limit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 
 class GraphError(ValueError):
@@ -112,14 +127,13 @@ class Graph:
             raise GraphError("duplicate edge identifiers")
         self.edges = tuple(es)
         self._by_id = {e.id: e for e in es}
-        self._out = {v: [] for v in vs}
-        self._in = {v: [] for v in vs}
+        out = {v: [] for v in vs}
+        into = {v: [] for v in vs}
         for e in es:
-            self._out[e.src].append(e)
-            self._in[e.dst].append(e)
-        for v in vs:
-            self._out[v].sort(key=lambda e: e.id)
-            self._in[v].sort(key=lambda e: e.id)
+            out[e.src].append(e)
+            into[e.dst].append(e)
+        self._out = {v: tuple(sorted(out[v], key=lambda e: e.id)) for v in vs}
+        self._in = {v: tuple(sorted(into[v], key=lambda e: e.id)) for v in vs}
 
     # -- basic queries ---------------------------------------------------
 
@@ -134,13 +148,13 @@ class Graph:
 
     def out_edges(self, v: str):
         try:
-            return tuple(self._out[v])
+            return self._out[v]
         except KeyError:
             raise GraphError(f"unknown vertex identifier {v}") from None
 
     def in_edges(self, v: str):
         try:
-            return tuple(self._in[v])
+            return self._in[v]
         except KeyError:
             raise GraphError(f"unknown vertex identifier {v}") from None
 
@@ -150,6 +164,15 @@ class Graph:
     def is_regular(self, v: str) -> bool:
         """A vertex that emits at least one edge (finite graphs: not a sink)."""
         return bool(self.out_edges(v))
+
+    @cached_property
+    def no_exit_cycles(self):
+        """The cycles, sorted by base, when none has an exit; else None.
+
+        Computed once per graph by one linear strongly-connected-component
+        pass; equal to ``simple_cycles(self)`` whenever it is not None.
+        """
+        return _cycles_without_exit(self)
 
     # -- path construction -------------------------------------------------
 
@@ -266,19 +289,29 @@ def simple_cycles(g: Graph):
     Rooted search: for each base in increasing order, walk only through
     vertices strictly larger than the base, so every cycle is found once,
     already at its canonical rotation.  Parallel edges give distinct
-    cycles.
+    cycles.  The number of cycles, and so the cost, can be exponential
+    in the size of g; the no-exit test does not use this.
     """
     found = []
-
-    def walk(base, at, edges_so_far, visited):
-        for e in g.out_edges(at):
-            if e.dst == base:
-                found.append(Cycle(Path(base, edges_so_far + (e.id,), base)))
-            elif e.dst > base and e.dst not in visited:
-                walk(base, e.dst, edges_so_far + (e.id,), visited | {e.dst})
-
     for base in sorted(g.vertices):
-        walk(base, base, (), {base})
+        edges = []  # the walk from base; the frames below are its vertices
+        on_walk = {base}
+        frames = [(base, iter(g.out_edges(base)))]
+        while frames:
+            at, pending = frames[-1]
+            for e in pending:
+                if e.dst == base:
+                    found.append(Cycle(Path(base, tuple(edges) + (e.id,), base)))
+                elif e.dst > base and e.dst not in on_walk:
+                    edges.append(e.id)
+                    on_walk.add(e.dst)
+                    frames.append((e.dst, iter(g.out_edges(e.dst))))
+                    break
+            else:
+                frames.pop()
+                on_walk.discard(at)
+                if edges:
+                    edges.pop()
     found.sort(key=lambda c: (c.base, c.length, c.path.edges))
     return tuple(found)
 
@@ -294,9 +327,91 @@ def has_exit(g: Graph, c: Cycle) -> bool:
     return False
 
 
+def strongly_connected_components(g: Graph):
+    """The strongly connected components of g, each a list of vertices.
+
+    Tarjan's algorithm with an explicit stack of (vertex, pending
+    out-edges) frames in place of recursion; components come out in
+    reverse topological order.
+    """
+    index, low = {}, {}
+    members = []  # Tarjan's stack of visited, unassigned vertices
+    unassigned = set()
+    comps = []
+    for root in g.vertices:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        members.append(root)
+        unassigned.add(root)
+        frames = [(root, iter(g.out_edges(root)))]
+        while frames:
+            v, pending = frames[-1]
+            for e in pending:
+                w = e.dst
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    members.append(w)
+                    unassigned.add(w)
+                    frames.append((w, iter(g.out_edges(w))))
+                    break
+                if w in unassigned and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                frames.pop()
+                if frames:
+                    u = frames[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = members.pop()
+                        unassigned.discard(w)
+                        comp.append(w)
+                        if w == v:
+                            break
+                    comps.append(comp)
+    return comps
+
+
+def _cycles_without_exit(g: Graph):
+    """The cycles of g sorted by base if none has an exit, else None.
+
+    A component lies on a cycle when it has two or more vertices or a
+    loop.  Every vertex of such a component needs out-degree 1; the
+    component is then one cycle, and walking its unique out-edges from
+    the smallest vertex gives the canonical rotation.
+    """
+    cycles = []
+    for comp in strongly_connected_components(g):
+        out = [g.out_edges(v) for v in comp]
+        if len(comp) == 1 and all(e.dst != comp[0] for e in out[0]):
+            continue  # a vertex on no cycle
+        if any(len(es) != 1 for es in out):
+            return None
+        base = min(comp)
+        edges = []
+        at = base
+        while True:
+            (e,) = g.out_edges(at)
+            edges.append(e.id)
+            at = e.dst
+            if at == base:
+                break
+        cycles.append(Cycle(Path(base, tuple(edges), base)))
+    cycles.sort(key=lambda c: c.base)
+    return tuple(cycles)
+
+
 def no_exit_condition(g: Graph) -> bool:
-    """True when no simple cycle of g has an exit."""
-    return all(not has_exit(g, c) for c in simple_cycles(g))
+    """True when no simple cycle of g has an exit.
+
+    Equivalently, every vertex on a cycle has out-degree 1.  Decided by
+    the linear pass behind ``Graph.no_exit_cycles`` and cached on g, so
+    repeated calls are lookups.
+    """
+    return g.no_exit_cycles is not None
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +430,31 @@ def paths_up_to(g: Graph, max_len: int):
                 nxt.append(Path(p.base, p.edges + (e.id,), e.dst))
         out.extend(nxt)
         frontier = nxt
+    out.sort(key=Path.sort_key)
+    return tuple(out)
+
+
+def _paths_ending_at(g: Graph, end: str, length_bound, avoid=()):
+    """Paths ending at `end`, grown edge by edge at their front.
+
+    A path of length `length_bound` is not grown further.  A path that
+    starts with the edge sequence `avoid` (when nonempty) is neither kept
+    nor grown; since every other path was checked when it was emitted,
+    only the fresh front can complete a copy.
+    """
+    t = len(avoid)
+    out = []
+    stack = [(end, ())]
+    while stack:
+        base, edge_ids = stack.pop()
+        out.append(Path(base, edge_ids, end))
+        if length_bound is not None and len(edge_ids) >= length_bound:
+            continue
+        for e in g.in_edges(base):
+            new = (e.id,) + edge_ids
+            if t and new[:t] == avoid:
+                continue
+            stack.append((e.src, new))
     out.sort(key=Path.sort_key)
     return tuple(out)
 
@@ -338,19 +478,7 @@ def paths_into(g: Graph, v: str, length_bound=None):
             raise InfiniteEnumerationError(
                 f"{v} is not a sink; unbounded enumeration is only supported into sinks"
             )
-
-    out = []
-
-    def grow(base, edge_ids):
-        out.append(Path(base, edge_ids, v))
-        if length_bound is not None and len(edge_ids) >= length_bound:
-            return
-        for e in g.in_edges(base):
-            grow(e.src, (e.id,) + edge_ids)
-
-    grow(v, ())
-    out.sort(key=Path.sort_key)
-    return tuple(out)
+    return _paths_ending_at(g, v, length_bound)
 
 
 def paths_into_cycle(g: Graph, c: Cycle, length_bound=None):
@@ -365,26 +493,7 @@ def paths_into_cycle(g: Graph, c: Cycle, length_bound=None):
         raise InfiniteEnumerationError(
             "a cycle with an exit feeds unboundedly many paths; pass length_bound"
         )
-    cyc = c.path.edges
-    t = len(cyc)
-
-    out = []
-
-    def grow(base, edge_ids):
-        out.append(Path(base, edge_ids, c.base))
-        if length_bound is not None and len(edge_ids) >= length_bound:
-            return
-        for e in g.in_edges(base):
-            new = (e.id,) + edge_ids
-            # occurrences deeper in `new` were ruled out when `edge_ids`
-            # was emitted, so only the fresh front can complete a copy
-            if len(new) >= t and new[:t] == cyc:
-                continue
-            grow(e.src, new)
-
-    grow(c.base, ())
-    out.sort(key=Path.sort_key)
-    return tuple(out)
+    return _paths_ending_at(g, c.base, length_bound, c.path.edges)
 
 
 def cycle_power(c: Cycle, k: int) -> Path:

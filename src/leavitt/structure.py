@@ -44,7 +44,6 @@ from .graph import (
     no_exit_condition,
     paths_into,
     paths_into_cycle,
-    simple_cycles,
     sinks,
 )
 from .lpa import LeavittAlgebra, LpaElement, Monomial
@@ -102,7 +101,7 @@ class TypeReport:
 
 def classify(g: Graph) -> TypeReport:
     ne = no_exit_condition(g)
-    count = len(sinks(g)) + len(simple_cycles(g)) if ne else 0
+    count = len(sinks(g)) + len(g.no_exit_cycles) if ne else 0
     if ne:
         prime = count == 1
         triple = (1, 0, 0)
@@ -251,7 +250,7 @@ def decompose(algebra_or_graph, field=None) -> DecompositionReport:
     blocks = [block(v, None, paths_into(g, v), K) for v in sorted(sinks(g))]
     blocks += [
         block(c.base, c, paths_into_cycle(g, c), LaurentRing(K, c.length))
-        for c in simple_cycles(g)
+        for c in g.no_exit_cycles
     ]
     if not blocks:
         raise VerificationError("no sinks and no cycles in a finite graph; impossible")

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from corpus import build_corpus, build_negative
-from leavitt import cli
+from leavitt import Graph, cli
 
 
 def write_graph(tmp_path, graph, name="graph.json"):
@@ -252,6 +252,18 @@ def test_type_witness_command(tmp_path, capsys):
     assert data["report"]["abelian"] is True
     assert data["report"]["faithful"] is True
     assert len(data["witness"]) == 2  # one vertex per block
+
+
+@pytest.mark.parametrize("closed", [False, True], ids=["line", "cycle"])
+def test_classify_1500_vertices(tmp_path, capsys, closed):
+    """Deeper than the recursion limit: no RecursionError, no exit 4."""
+    n = 1500
+    vs = [f"v{i}" for i in range(n)]
+    g = Graph(vs, [(f"e{i}", vs[i], vs[(i + 1) % n]) for i in range(n if closed else n - 1)])
+    code, out, err = run_main(capsys, ["classify", "--input", write_graph(tmp_path, g)])
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert data["no_exit"] is True and data["block_count"] == 1
 
 
 def test_field_option_prime(tmp_path, capsys):

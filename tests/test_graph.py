@@ -55,6 +55,16 @@ def test_sinks():
     assert g.is_regular("v1")
 
 
+def test_edge_lists_are_stored_once():
+    g = Graph(["a", "b"], [("y", "a", "b"), ("x", "a", "b"), ("w", "b", "a")])
+    assert [e.id for e in g.out_edges("a")] == ["x", "y"]
+    assert g.out_edges("a") is g.out_edges("a")
+    assert g.in_edges("b") is g.in_edges("b")
+    assert isinstance(g.in_edges("a"), tuple)
+    with pytest.raises(GraphError):
+        g.in_edges("nope")
+
+
 def test_path_factory():
     g = line3()
     p = g.path("v1", ("e1", "e2"))

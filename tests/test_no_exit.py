@@ -1,0 +1,254 @@
+"""The linear no-exit test against cycle enumeration.
+
+``no_exit_condition`` and ``Graph.no_exit_cycles`` decide the no-exit
+condition by one strongly-connected-component pass.  Here they are
+compared with the definition (every simple cycle, none with an exit) on
+random multigraphs, with networkx (when installed) as a second cycle
+oracle, and the iterative path walks are compared with the recursive
+ones they replaced.
+"""
+
+import sys
+
+import pytest
+
+from corpus import build_corpus, build_negative
+from leavitt import (
+    ExitConditionError,
+    Graph,
+    InfiniteEnumerationError,
+    LeavittAlgebra,
+    classify,
+    decompose,
+    dim_series_check,
+)
+from leavitt import graph as graph_module
+from leavitt.graph import (
+    Cycle,
+    Path,
+    has_exit,
+    no_exit_condition,
+    paths_into,
+    paths_into_cycle,
+    simple_cycles,
+    sinks,
+    strongly_connected_components,
+)
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+# labels whose string order differs from their creation order
+LABELS = ("v2", "v10", "a", "z", "m1", "m0", "b7")
+
+
+@st.composite
+def multigraphs(draw, max_vertices=7, max_edges=12):
+    """Digraphs on up to 7 vertices; loops and parallel edges allowed."""
+    vs = draw(st.permutations(LABELS))[: draw(st.integers(1, max_vertices))]
+    ends = draw(
+        st.lists(st.tuples(st.sampled_from(vs), st.sampled_from(vs)), max_size=max_edges)
+    )
+    return Graph(vs, [(f"e{k}", s, d) for k, (s, d) in enumerate(ends)])
+
+
+@st.composite
+def no_exit_multigraphs(draw):
+    """Graphs where no cycle has an exit: the edges of a random graph,
+    each kept when the enumeration rule still holds with it."""
+    g = draw(multigraphs())
+    keep = []
+    for e in g.edges:
+        if rule_by_enumeration(Graph(g.vertices, keep + [e])):
+            keep.append(e)
+    return Graph(g.vertices, keep)
+
+
+def rule_by_enumeration(g):
+    return all(not has_exit(g, c) for c in simple_cycles(g))
+
+
+def networkx_cycle_count(g):
+    """Simple cycles of the multigraph: each node cycle of networkx,
+    once per choice among parallel edges along it."""
+    nx = pytest.importorskip("networkx")
+    h = nx.MultiDiGraph()
+    h.add_nodes_from(g.vertices)
+    h.add_edges_from((e.src, e.dst) for e in g.edges)
+    total = 0
+    for nodes in nx.simple_cycles(h):
+        ways = 1
+        for k, u in enumerate(nodes):
+            ways *= h.number_of_edges(u, nodes[(k + 1) % len(nodes)])
+        total += ways
+    return total
+
+
+SETTINGS = hypothesis.settings(
+    max_examples=300, deadline=None, derandomize=True, database=None
+)
+
+
+@SETTINGS
+@hypothesis.given(multigraphs())
+def test_scc_rule_matches_enumeration(g):
+    assert no_exit_condition(g) == rule_by_enumeration(g)
+    if no_exit_condition(g):
+        assert g.no_exit_cycles == simple_cycles(g)
+
+
+@SETTINGS
+@hypothesis.given(no_exit_multigraphs())
+def test_cached_cycles_equal_simple_cycles(g):
+    assert no_exit_condition(g) and rule_by_enumeration(g)
+    assert g.no_exit_cycles == simple_cycles(g)
+    assert len(g.no_exit_cycles) == networkx_cycle_count(g)
+
+
+@SETTINGS
+@hypothesis.given(multigraphs())
+def test_cycle_count_matches_networkx(g):
+    assert len(simple_cycles(g)) == networkx_cycle_count(g)
+
+
+@SETTINGS
+@hypothesis.given(multigraphs())
+def test_components_match_networkx(g):
+    nx = pytest.importorskip("networkx")
+    h = nx.MultiDiGraph()
+    h.add_nodes_from(g.vertices)
+    h.add_edges_from((e.src, e.dst) for e in g.edges)
+    ours = sorted(sorted(c) for c in strongly_connected_components(g))
+    assert ours == sorted(sorted(c) for c in nx.strongly_connected_components(h))
+
+
+# -- the recursive walks the iterative ones replaced, as oracles ------------------
+
+
+def recursive_simple_cycles(g):
+    found = []
+
+    def walk(base, at, edges_so_far, visited):
+        for e in g.out_edges(at):
+            if e.dst == base:
+                found.append(Cycle(Path(base, edges_so_far + (e.id,), base)))
+            elif e.dst > base and e.dst not in visited:
+                walk(base, e.dst, edges_so_far + (e.id,), visited | {e.dst})
+
+    for base in sorted(g.vertices):
+        walk(base, base, (), {base})
+    found.sort(key=lambda c: (c.base, c.length, c.path.edges))
+    return tuple(found)
+
+
+def recursive_paths_ending_at(g, end, length_bound, avoid=()):
+    t = len(avoid)
+    out = []
+
+    def grow(base, edge_ids):
+        out.append(Path(base, edge_ids, end))
+        if length_bound is not None and len(edge_ids) >= length_bound:
+            return
+        for e in g.in_edges(base):
+            new = (e.id,) + edge_ids
+            if t and len(new) >= t and new[:t] == avoid:
+                continue
+            grow(e.src, new)
+
+    grow(end, ())
+    out.sort(key=Path.sort_key)
+    return tuple(out)
+
+
+@SETTINGS
+@hypothesis.given(multigraphs(max_edges=9))
+def test_iterative_walks_match_recursive(g):
+    assert simple_cycles(g) == recursive_simple_cycles(g)
+    for v in g.vertices:
+        assert paths_into(g, v, length_bound=3) == recursive_paths_ending_at(g, v, 3)
+    for c in simple_cycles(g):
+        assert paths_into_cycle(g, c, length_bound=4) == recursive_paths_ending_at(
+            g, c.base, 4, c.path.edges
+        )
+
+
+@SETTINGS
+@hypothesis.given(no_exit_multigraphs())
+def test_unbounded_walks_match_recursive(g):
+    for v in sinks(g):
+        assert paths_into(g, v) == recursive_paths_ending_at(g, v, None)
+    for c in g.no_exit_cycles:
+        assert paths_into_cycle(g, c) == recursive_paths_ending_at(g, c.base, None, c.path.edges)
+
+
+# -- the hot path never enumerates cycles ------------------------------------------
+
+
+def complete(n):
+    vs = [f"v{i}" for i in range(n)]
+    return Graph(vs, [(f"e{i}_{j}", a, b) for i, a in enumerate(vs) for j, b in enumerate(vs)])
+
+
+def big_cycle(n):
+    vs = [f"v{i}" for i in range(n)]
+    return Graph(vs, [(f"e{i}", vs[i], vs[(i + 1) % n]) for i in range(n)])
+
+
+def test_hot_path_never_calls_simple_cycles(monkeypatch):
+    corpus = dict(build_corpus(), **build_negative())
+    # the answers by enumeration, before it is switched off
+    expected = {
+        name: (rule_by_enumeration(g), len(sinks(g)) + len(simple_cycles(g)))
+        for name, g in corpus.items()
+    }
+    dims = {
+        name: dim_series_check(decompose(LeavittAlgebra(g)), 4).rows
+        for name, g in corpus.items()
+        if expected[name][0]
+    }
+    fresh = {name: Graph(g.vertices, g.edges) for name, g in corpus.items()}
+
+    def forbidden(g):
+        raise AssertionError("simple_cycles called on the no-exit path")
+
+    original = graph_module.simple_cycles
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "leavitt"]:
+        if vars(module).get("simple_cycles") is original:
+            monkeypatch.setattr(module, "simple_cycles", forbidden)
+    passes = []
+    scc = graph_module.strongly_connected_components
+    monkeypatch.setattr(
+        graph_module, "strongly_connected_components", lambda g: passes.append(g) or scc(g)
+    )
+
+    for name, g in fresh.items():
+        ne, count = expected[name]
+        assert no_exit_condition(g) is ne, name
+        report = classify(g)
+        assert report.no_exit is ne and report.block_count == (count if ne else 0), name
+        if ne:
+            algebra = LeavittAlgebra(g)
+            assert len(decompose(algebra).blocks) == count, name
+            assert dim_series_check(decompose(algebra), 4).rows == dims[name], name
+        else:
+            with pytest.raises(ExitConditionError):
+                decompose(g)
+    # one linear pass per graph, however often the condition is asked
+    assert len(passes) == len(fresh)
+
+    k10 = complete(10)
+    assert not no_exit_condition(k10) and k10.no_exit_cycles is None
+    assert classify(k10).block_count == 0
+    with pytest.raises(ExitConditionError):
+        decompose(k10)
+    with pytest.raises(InfiniteEnumerationError):
+        LeavittAlgebra(k10).graded_dim(0)
+
+    ring = big_cycle(10**4)
+    assert no_exit_condition(ring)
+    report = classify(ring)
+    assert report.no_exit and report.block_count == 1
+    (c,) = ring.no_exit_cycles
+    assert c.base == "v0" and c.length == 10**4
+    assert c.path.edges[:3] == ("e0", "e1", "e2")
+    assert len(passes) == len(fresh) + 2

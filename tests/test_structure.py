@@ -118,6 +118,17 @@ def test_decompose_block_order():
     assert [b.anchor for b in rep.blocks] == ["s", "z"]
 
 
+@pytest.mark.parametrize("closed", [False, True], ids=["line", "cycle"])
+def test_decompose_1500_vertices(closed):
+    """One block whose index paths are 1500 deep: no recursion limit."""
+    n = 1500
+    vs = [f"v{i}" for i in range(n)]
+    g = Graph(vs, [(f"e{i}", vs[i], vs[(i + 1) % n]) for i in range(n if closed else n - 1)])
+    (block,) = decompose(g).blocks
+    assert block.kind == ("cycle" if closed else "sink")
+    assert block.shifts == tuple(range(n))
+
+
 def test_decompose_respects_field():
     rep = decompose(LeavittAlgebra(build_corpus()["loop"], PrimeField(5)))
     assert rep.blocks[0].algebra.base == LaurentRing(PrimeField(5), 1)
