@@ -150,11 +150,24 @@ class LeavittAlgebra:
         minus (p e)(q e)* over the other edges at v; the total path
         length of the worst monomial strictly drops, so this terminates.
         Returns (terms, steps).
+
+        Each step rewrites the non-admissible monomial of largest
+        `Monomial.sort_key`, whose first component is len(p).  A step at
+        len(p) = l leaves only p q* at level l - 1 possibly
+        non-admissible: the (p e)(q e)* end in a non-distinguished edge.
+        So the non-admissible monomials wait in one bucket per level,
+        drained from the top, and each bucket is sorted once when it is
+        reached; the cost is the rewrite steps times the out-degree plus
+        one sort per length level, not one sort of all terms per step.
         """
         field = self.field
         g = self.graph
         terms = {m: c for m, c in raw.items() if not field.is_zero(c)}
         steps = 0
+        levels: dict = {}
+        for m in terms:
+            if not self.is_admissible(m):
+                levels.setdefault(len(m.p.edges), set()).add(m)
 
         def put(m, c):
             acc = field.add(terms.get(m, field.zero()), c)
@@ -163,31 +176,32 @@ class LeavittAlgebra:
             else:
                 terms[m] = acc
 
-        while True:
-            bad = None
-            for m in sorted(terms, key=Monomial.sort_key, reverse=True):
-                if not self.is_admissible(m):
-                    bad = m
-                    break
-            if bad is None:
-                return terms, steps
-            c = terms.pop(bad)
-            eid = bad.p.edges[-1]
-            v = g.edge(eid).src
-            p0 = Path(bad.p.base, bad.p.edges[:-1], v)
-            q0 = Path(bad.q.base, bad.q.edges[:-1], v)
-            put(Monomial(p0, q0), c)
-            for e in g.out_edges(v):
-                if e.id == eid:
+        for level in range(max(levels, default=0), 0, -1):
+            # a monomial cancelled after it was queued stays in its bucket
+            for bad in sorted(levels.pop(level, ()), key=Monomial.sort_key, reverse=True):
+                if bad not in terms:
                     continue
-                put(
-                    Monomial(
-                        Path(p0.base, p0.edges + (e.id,), e.dst),
-                        Path(q0.base, q0.edges + (e.id,), e.dst),
-                    ),
-                    field.neg(c),
-                )
-            steps += 1
+                c = terms.pop(bad)
+                eid = bad.p.edges[-1]
+                v = g.edge(eid).src
+                p0 = Path(bad.p.base, bad.p.edges[:-1], v)
+                q0 = Path(bad.q.base, bad.q.edges[:-1], v)
+                m0 = Monomial(p0, q0)
+                put(m0, c)
+                if not self.is_admissible(m0):
+                    levels.setdefault(level - 1, set()).add(m0)
+                for e in g.out_edges(v):
+                    if e.id == eid:
+                        continue
+                    put(
+                        Monomial(
+                            Path(p0.base, p0.edges + (e.id,), e.dst),
+                            Path(q0.base, q0.edges + (e.id,), e.dst),
+                        ),
+                        field.neg(c),
+                    )
+                steps += 1
+        return terms, steps
 
     def normal_form(self, raw: dict) -> "LpaElement":
         """Canonical element from a raw monomial -> coefficient map."""
@@ -317,17 +331,33 @@ class LpaElement:
     def __mul__(self, other):
         """Product, reduced to canonical form.
 
-        q* p' for inner paths contracts by the prefix comparison; the
-        raw products then pass through the rewriting system once.
+        (p1 q1*)(p2 q2*) survives only when one of q1, p2 is a prefix of
+        the other.  The p-paths of the right factor are indexed by
+        (base, edges) and by (base, proper prefix), so each left monomial
+        finds its partners with len(q1) + 2 lookups: the prefixes of q1
+        and the extensions of q1.  Partners are visited in the right
+        factor's order, which builds the raw sum in the order of the
+        all-pairs loop; it then passes through the rewriting system once.
         """
         self._check_same(other)
         field = self.algebra.field
+        right = list(other.terms.items())
+        exact: dict = {}
+        longer: dict = {}
+        for j, (m2, _) in enumerate(right):
+            base, edges = m2.p.base, m2.p.edges
+            exact.setdefault((base, edges), []).append(j)
+            for k in range(len(edges)):
+                longer.setdefault((base, edges[:k]), []).append(j)
         raw: dict = {}
         for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
+            base, edges = m1.q.base, m1.q.edges
+            hits = list(longer.get((base, edges), ()))
+            for k in range(len(edges) + 1):
+                hits += exact.get((base, edges[:k]), ())
+            for j in sorted(hits):
+                m2, c2 = right[j]
                 m = _monomial_product(m1, m2)
-                if m is None:
-                    continue
                 c = field.mul(c1, c2)
                 raw[m] = field.add(raw.get(m, field.zero()), c)
         return self.algebra.normal_form(raw)

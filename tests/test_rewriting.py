@@ -1,0 +1,240 @@
+"""Worklist rewriting and prefix-indexed products against the loops they replaced.
+
+``LeavittAlgebra._reduce`` keeps the non-admissible monomials in one
+bucket per len(p) and sorts each bucket once; ``LpaElement.__mul__``
+finds the partners of each left monomial through a prefix index of the
+right factor.  The oracles below are the earlier versions: a rewrite loop
+that re-sorts every term before each step, and the all-pairs product.
+On random multigraphs (loops, parallel edges, exits) both must give the
+same terms in the same dict order, the same rewrite step count and the
+same raw sum before reduction.
+"""
+
+import pytest
+
+from leavitt import Graph, LeavittAlgebra, PrimeField, Rationals
+from leavitt import lpa as lpa_module
+from leavitt.graph import Path, paths_up_to
+from leavitt.lpa import LpaElement, Monomial, _monomial_product
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+SETTINGS = hypothesis.settings(
+    max_examples=300, deadline=None, derandomize=True, database=None
+)
+
+# labels whose string order differs from their creation order
+LABELS = ("v2", "v10", "a", "z", "m1")
+FIELDS = (Rationals(), PrimeField(3))
+
+
+# -- oracles -------------------------------------------------------------------
+
+
+def oracle_reduce(A, raw):
+    """Rewrite the largest non-admissible monomial, re-sorting every step."""
+    field, g = A.field, A.graph
+    terms = {m: c for m, c in raw.items() if not field.is_zero(c)}
+    steps = 0
+
+    def put(m, c):
+        acc = field.add(terms.get(m, field.zero()), c)
+        if field.is_zero(acc):
+            terms.pop(m, None)
+        else:
+            terms[m] = acc
+
+    while True:
+        bad = None
+        for m in sorted(terms, key=Monomial.sort_key, reverse=True):
+            if not A.is_admissible(m):
+                bad = m
+                break
+        if bad is None:
+            return terms, steps
+        c = terms.pop(bad)
+        eid = bad.p.edges[-1]
+        v = g.edge(eid).src
+        p0 = Path(bad.p.base, bad.p.edges[:-1], v)
+        q0 = Path(bad.q.base, bad.q.edges[:-1], v)
+        put(Monomial(p0, q0), c)
+        for e in g.out_edges(v):
+            if e.id == eid:
+                continue
+            put(
+                Monomial(
+                    Path(p0.base, p0.edges + (e.id,), e.dst),
+                    Path(q0.base, q0.edges + (e.id,), e.dst),
+                ),
+                field.neg(c),
+            )
+        steps += 1
+
+
+def oracle_raw_product(x, y):
+    """The raw sum of the all-pairs product, before reduction."""
+    field = x.algebra.field
+    raw = {}
+    for m1, c1 in x.terms.items():
+        for m2, c2 in y.terms.items():
+            m = _monomial_product(m1, m2)
+            if m is None:
+                continue
+            raw[m] = field.add(raw.get(m, field.zero()), field.mul(c1, c2))
+    return raw
+
+
+# -- strategies ----------------------------------------------------------------
+
+
+@st.composite
+def multigraphs(draw):
+    """Digraphs on up to 5 vertices, loops and parallel edges allowed,
+    with at least one edge."""
+    vs = draw(st.permutations(LABELS))[: draw(st.integers(1, 5))]
+    ends = draw(
+        st.lists(st.tuples(st.sampled_from(vs), st.sampled_from(vs)), min_size=1, max_size=8)
+    )
+    # edge ids whose string order differs from their creation order
+    return Graph(vs, [(f"e{(7 * k) % 11}", s, d) for k, (s, d) in enumerate(ends)])
+
+
+@st.composite
+def raw_sums(draw, A, max_terms=6):
+    """A raw monomial -> coefficient map, not yet in normal form.
+
+    Each term is (p s)(q s)* for paths p, q with a common range and a
+    walk s from it that mostly follows distinguished edges, so chains of
+    rewrites at several lengths occur; some terms come with all their
+    sibling terms (p e)(q e)*, which makes the rewriting cancel.
+    """
+    g = A.graph
+    by_end = {}
+    for p in paths_up_to(g, 2):
+        by_end.setdefault(p.end, []).append(p)
+    raw = {}
+    for _ in range(draw(st.integers(1, max_terms))):
+        end = draw(st.sampled_from(sorted(by_end)))
+        p = draw(st.sampled_from(by_end[end]))
+        q = draw(st.sampled_from(by_end[end]))
+        for _ in range(draw(st.integers(0, 3))):
+            out = g.out_edges(p.end)
+            if not out:
+                break
+            e = out[0] if draw(st.booleans()) else draw(st.sampled_from(out))
+            p = Path(p.base, p.edges + (e.id,), e.dst)
+            q = Path(q.base, q.edges + (e.id,), e.dst)
+        c = A.field.from_int(draw(st.integers(-2, 2)))
+        siblings = [(p, q)]
+        if draw(st.booleans()):
+            siblings = [
+                (Path(p.base, p.edges + (e.id,), e.dst), Path(q.base, q.edges + (e.id,), e.dst))
+                for e in g.out_edges(p.end)
+            ] or siblings
+        for pp, qq in siblings:
+            m = Monomial(pp, qq)
+            raw[m] = A.field.add(raw.get(m, A.field.zero()), c)
+    return raw
+
+
+@st.composite
+def algebras(draw):
+    return LeavittAlgebra(draw(multigraphs()), draw(st.sampled_from(FIELDS)))
+
+
+@st.composite
+def algebra_and_raw(draw):
+    A = draw(algebras())
+    return A, draw(raw_sums(A))
+
+
+@st.composite
+def algebra_and_factors(draw):
+    A = draw(algebras())
+    x = LpaElement(A, oracle_reduce(A, draw(raw_sums(A)))[0])
+    y = LpaElement(A, oracle_reduce(A, draw(raw_sums(A)))[0])
+    return A, x, y
+
+
+# -- differential tests ------------------------------------------------------------
+
+
+@SETTINGS
+@hypothesis.given(algebra_and_raw())
+def test_normal_form_matches_sorted_rescan(case):
+    A, raw = case
+    want_terms, want_steps = oracle_reduce(A, raw)
+    got, steps = A.normal_form_stats(raw)
+    assert list(got.terms.items()) == list(want_terms.items())
+    assert steps == want_steps
+
+
+def _product_with_raw(A, x, y):
+    """x * y, and the raw sum that __mul__ handed to normal_form."""
+    seen = []
+
+    def record(raw):
+        seen.append(list(raw.items()))
+        return LeavittAlgebra.normal_form(A, raw)
+
+    A.normal_form = record
+    try:
+        result = x * y
+    finally:
+        del A.normal_form
+    (raw,) = seen
+    return result, raw
+
+
+@SETTINGS
+@hypothesis.given(algebra_and_factors())
+def test_product_matches_all_pairs(case):
+    A, x, y = case
+    for left, right in ((x, y), (x.star(), x), (y, x.star()), (x.star(), y)):
+        want_raw = oracle_raw_product(left, right)
+        got, raw = _product_with_raw(A, left, right)
+        assert raw == list(want_raw.items())
+        want_terms, _ = oracle_reduce(A, want_raw)
+        assert list(got.terms.items()) == list(want_terms.items())
+
+
+# -- pinned counts on rose_2 -----------------------------------------------------
+
+
+def _rose2_paths(length):
+    edges = [()]
+    for _ in range(length):
+        edges = [p + (e,) for p in edges for e in ("a", "b")]
+    return [Path("v", p, "v") for p in edges]
+
+
+def _rose2():
+    return LeavittAlgebra(Graph(["v"], [("a", "v", "v"), ("b", "v", "v")]))
+
+
+def test_rose2_sum_ppstar_steps():
+    A = _rose2()
+    one = A.field.one()
+    raw = {Monomial(p, p): one for p in _rose2_paths(9)}
+    assert len(raw) == 512
+    x, steps = A.normal_form_stats(raw)
+    assert repr(x) == "<1*v>"
+    assert steps == 511
+
+
+def test_rose2_ystar_y_contracts_only_matching_pairs(monkeypatch):
+    A = _rose2()
+    one = A.field.one()
+    v = Path("v", (), "v")
+    y = A.element([(Monomial(p, v), one) for p in _rose2_paths(9)])
+    calls = []
+
+    def counted(m1, m2):
+        calls.append(1)
+        return _monomial_product(m1, m2)
+
+    monkeypatch.setattr(lpa_module, "_monomial_product", counted)
+    assert repr(y.star() * y) == "<512*v>"
+    # the all-pairs loop made 512 * 512 = 262144 calls
+    assert len(calls) == 512
