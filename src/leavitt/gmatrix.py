@@ -10,13 +10,29 @@ e_ij(x) is homogeneous of degree deg(x) + d_i - d_j.
 ``hom_component_dim`` counts a basis of one homogeneous component: one
 generator per entry position the base ring can populate in that degree.
 
-Products, ``is_homogeneous`` and ``component`` visit nonzero entries
-only; storage stays a dense row grid (``entries``, a tuple of rows).
+A matrix stores only its nonzero entries, one dict per row, so products,
+sums, comparisons and the grading tests cost O(nonzeros) rather than
+O(n^2): a product of two monomial matrices (at most one nonzero per row
+and column, as every generator image is) costs O(n).  ``entries`` is a
+dense view built on demand for the routines that work on a full grid.
 """
 
 from __future__ import annotations
 
 from .scalar import LaurentRing
+
+
+def _add_into(row: dict, j: int, x, add, is_zero) -> None:
+    """row[j] += x for a nonzero x, deleting the entry if the sum cancels."""
+    y = row.get(j)
+    if y is None:
+        row[j] = x
+        return
+    s = add(y, x)
+    if is_zero(s):
+        del row[j]
+    else:
+        row[j] = s
 
 
 class GradedMatrixAlgebra:
@@ -39,29 +55,36 @@ class GradedMatrixAlgebra:
     # -- construction ------------------------------------------------------
 
     def matrix(self, entries) -> "GradedMatrix":
-        rows = tuple(tuple(row) for row in entries)
-        if len(rows) != self.n or any(len(r) != self.n for r in rows):
+        """The matrix with a dense n x n entry grid; zero entries are dropped."""
+        grid = tuple(tuple(row) for row in entries)
+        if len(grid) != self.n or any(len(r) != self.n for r in grid):
             raise ValueError(f"expected a {self.n} x {self.n} entry grid")
+        is_zero = self.base.is_zero
+        return GradedMatrix(
+            self, tuple({j: x for j, x in enumerate(r) if not is_zero(x)} for r in grid)
+        )
+
+    def sum_of_units(self, units) -> "GradedMatrix":
+        """The sum of the matrix units e_ij(x) over (i, j, x) in `units`."""
+        b = self.base
+        rows = tuple({} for _ in range(self.n))
+        for i, j, x in units:
+            if not b.is_zero(x):
+                _add_into(rows[i], j, x, b.add, b.is_zero)
         return GradedMatrix(self, rows)
 
     def zero(self) -> "GradedMatrix":
-        z = self.base.zero()
-        return GradedMatrix(self, tuple(tuple(z for _ in range(self.n)) for _ in range(self.n)))
+        return GradedMatrix(self, tuple({} for _ in range(self.n)))
 
     def identity(self) -> "GradedMatrix":
-        z, o = self.base.zero(), self.base.one()
-        return GradedMatrix(
-            self, tuple(tuple(o if i == j else z for j in range(self.n)) for i in range(self.n))
-        )
+        one = self.base.one()
+        return GradedMatrix(self, tuple({i: one} for i in range(self.n)))
 
     def unit(self, i: int, j: int, x) -> "GradedMatrix":
         """The matrix with x in entry (i, j) and zeros elsewhere (0-indexed)."""
         if not (0 <= i < self.n and 0 <= j < self.n):
             raise IndexError(f"unit position ({i}, {j}) out of range for n = {self.n}")
-        z = self.base.zero()
-        rows = [[z] * self.n for _ in range(self.n)]
-        rows[i][j] = x
-        return GradedMatrix(self, tuple(tuple(r) for r in rows))
+        return self.sum_of_units([(i, j, x)])
 
     # -- grading -------------------------------------------------------------
 
@@ -122,16 +145,32 @@ class GradedMatrixAlgebra:
 
 
 class GradedMatrix:
-    """A square matrix bound to its graded algebra.  Entries immutable."""
+    """A square matrix bound to its graded algebra.  Entries immutable.
 
-    __slots__ = ("algebra", "entries")
+    `rows` is a tuple of n dicts: `rows[i]` maps a column j to the
+    nonzero (i, j) entry.  A zero entry is never stored, so two matrices
+    are equal exactly when their row dicts are.  Every operation builds
+    new dicts; none is changed after construction.  The base rings are
+    domains (fields and Laurent rings over them), so a product of two
+    stored entries is never zero and only a sum can cancel.
+    """
 
-    def __init__(self, algebra: GradedMatrixAlgebra, entries):
+    __slots__ = ("algebra", "rows")
+
+    def __init__(self, algebra: GradedMatrixAlgebra, rows):
         self.algebra = algebra
-        self.entries = entries
+        self.rows = rows
 
     def entry(self, i: int, j: int):
-        return self.entries[i][j]
+        x = self.rows[i].get(j)
+        return self.algebra.base.zero() if x is None else x
+
+    @property
+    def entries(self):
+        """Dense read-only view: a tuple of n row tuples, zeros included."""
+        z = self.algebra.base.zero()
+        n = self.algebra.n
+        return tuple(tuple(row.get(j, z) for j in range(n)) for row in self.rows)
 
     def _check_same(self, other: "GradedMatrix"):
         if not isinstance(other, GradedMatrix):
@@ -142,73 +181,67 @@ class GradedMatrix:
     def __add__(self, other):
         self._check_same(other)
         b = self.algebra.base
-        return GradedMatrix(
-            self.algebra,
-            tuple(
-                tuple(b.add(x, y) for x, y in zip(r1, r2))
-                for r1, r2 in zip(self.entries, other.entries)
-            ),
-        )
+        add, is_zero = b.add, b.is_zero
+        rows = []
+        for r1, r2 in zip(self.rows, other.rows):
+            row = dict(r1)
+            for j, y in r2.items():
+                _add_into(row, j, y, add, is_zero)
+            rows.append(row)
+        return GradedMatrix(self.algebra, tuple(rows))
 
     def __neg__(self):
-        b = self.algebra.base
+        neg = self.algebra.base.neg
         return GradedMatrix(
-            self.algebra, tuple(tuple(b.neg(x) for x in row) for row in self.entries)
+            self.algebra, tuple({j: neg(x) for j, x in row.items()} for row in self.rows)
         )
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        """Row i of the product sums x * (row k of other) over the nonzero
-        x = self[i][k], visiting only the nonzeros of that row."""
+        """Row i of the product sums x * (row k of other) over the stored
+        x = self[i][k], visiting only the stored entries of that row."""
         self._check_same(other)
         b = self.algebra.base
-        is_zero, add, mul = b.is_zero, b.add, b.mul
-        z = b.zero()
-        n = self.algebra.n
-        support = [
-            [(j, y) for j, y in enumerate(row) if not is_zero(y)] for row in other.entries
-        ]
+        add, is_zero, mul = b.add, b.is_zero, b.mul
+        right = other.rows
         rows = []
-        for left in self.entries:
-            row = [z] * n
-            for k, x in enumerate(left):
-                if is_zero(x):
-                    continue
-                for j, y in support[k]:
-                    row[j] = add(row[j], mul(x, y))
-            rows.append(tuple(row))
+        for left in self.rows:
+            row = {}
+            for k, x in left.items():
+                for j, y in right[k].items():
+                    _add_into(row, j, mul(x, y), add, is_zero)
+            rows.append(row)
         return GradedMatrix(self.algebra, tuple(rows))
 
     def scale(self, x) -> "GradedMatrix":
         b = self.algebra.base
+        if b.is_zero(x):
+            return self.algebra.zero()
         return GradedMatrix(
-            self.algebra, tuple(tuple(b.mul(x, e) for e in row) for row in self.entries)
+            self.algebra, tuple({j: b.mul(x, e) for j, e in row.items()} for row in self.rows)
         )
 
     def star(self) -> "GradedMatrix":
         """Transpose with the base involution applied entrywise."""
-        b = self.algebra.base
-        n = self.algebra.n
-        return GradedMatrix(
-            self.algebra,
-            tuple(tuple(b.star(self.entries[j][i]) for j in range(n)) for i in range(n)),
-        )
+        star = self.algebra.base.star
+        rows = tuple({} for _ in range(self.algebra.n))
+        for i, row in enumerate(self.rows):
+            for j, x in row.items():
+                rows[j][i] = star(x)
+        return GradedMatrix(self.algebra, rows)
 
     def is_zero(self) -> bool:
-        b = self.algebra.base
-        return all(b.is_zero(x) for row in self.entries for x in row)
+        return not any(self.rows)
 
     def is_homogeneous(self, m: int) -> bool:
-        """Does every entry sit in the base component forced by degree m?"""
+        """Does every entry sit in the base component forced by degree m?
+        (A zero entry lies in every component, so only stored ones count.)"""
         b = self.algebra.base
         shifts = self.algebra.shifts
-        for i, row in enumerate(self.entries):
-            for j, x in enumerate(row):
-                # a zero entry lies in every component
-                if b.is_zero(x):
-                    continue
+        for i, row in enumerate(self.rows):
+            for j, x in row.items():
                 if not b.is_zero(b.sub(x, b.component(x, m + shifts[j] - shifts[i]))):
                     return False
         return True
@@ -217,16 +250,14 @@ class GradedMatrix:
         """Degree of a nonzero homogeneous matrix; None for zero or mixed."""
         found = None
         b = self.algebra.base
-        for i in range(self.algebra.n):
-            for j in range(self.algebra.n):
-                x = self.entries[i][j]
-                if b.is_zero(x):
-                    continue
+        shifts = self.algebra.shifts
+        for i, row in enumerate(self.rows):
+            for j, x in row.items():
                 try:
                     d = b.homogeneous_degree(x)
                 except ValueError:
                     return None
-                m = d + self.algebra.shifts[i] - self.algebra.shifts[j]
+                m = d + shifts[i] - shifts[j]
                 if found is None:
                     found = m
                 elif found != m:
@@ -236,26 +267,25 @@ class GradedMatrix:
     def component(self, m: int) -> "GradedMatrix":
         b = self.algebra.base
         shifts = self.algebra.shifts
-        return GradedMatrix(
-            self.algebra,
-            tuple(
-                tuple(
-                    x if b.is_zero(x) else b.component(x, m + shifts[j] - shifts[i])
-                    for j, x in enumerate(row)
-                )
-                for i, row in enumerate(self.entries)
-            ),
-        )
+        rows = []
+        for i, row in enumerate(self.rows):
+            out = {}
+            for j, x in row.items():
+                c = b.component(x, m + shifts[j] - shifts[i])
+                if not b.is_zero(c):
+                    out[j] = c
+            rows.append(out)
+        return GradedMatrix(self.algebra, tuple(rows))
 
     def __eq__(self, other):
         return (
             isinstance(other, GradedMatrix)
             and other.algebra == self.algebra
-            and other.entries == self.entries
+            and other.rows == self.rows
         )
 
     def __hash__(self):
-        return hash((self.algebra, self.entries))
+        return hash((self.algebra, tuple(frozenset(row.items()) for row in self.rows)))
 
     def to_json(self) -> dict:
         return {

@@ -111,11 +111,12 @@ def inner_inverse_field(a: GradedMatrix) -> GradedMatrix:
     alg = a.algebra
     field = alg.base
     n = alg.n
-    rref, _, pivots = _row_reduce([list(r) for r in a.entries], field)
+    grid = a.entries  # a view built on every read: read it once
+    rref, _, pivots = _row_reduce(grid, field)
     r = len(pivots)
     if r == 0:
         return alg.zero()
-    cmat = [[a.entries[i][c] for c in pivots] for i in range(n)]  # n x r
+    cmat = [[grid[i][c] for c in pivots] for i in range(n)]  # n x r
     rmat = rref[:r]  # r x n
     # R has an identity block at the pivot columns, so placing 1s there
     # transposed gives a right inverse of R
@@ -147,7 +148,7 @@ def inner_inverse_laurent(a: GradedMatrix) -> GradedMatrix:
     alg = a.algebra
     ring = alg.base
     n = alg.n
-    u, d, v = smith_normal_form([list(r) for r in a.entries], ring)
+    u, d, v = smith_normal_form(a.entries, ring)
     dplus = [[ring.zero() for _ in range(n)] for _ in range(n)]
     for i in range(n):
         x = d[i][i]
@@ -207,7 +208,7 @@ def block_ranks(images: GeneratorImages, x: LpaElement):
     mats = images.apply(x)
     out = []
     for block, mat in zip(images.report.blocks, mats):
-        rows = [list(r) for r in mat.entries]
+        rows = mat.entries
         if block.algebra.is_laurent:
             out.append(laurent_rank(rows, block.algebra.base))
         else:

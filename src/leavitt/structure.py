@@ -18,8 +18,8 @@ maps to the sum over those k of e_(i_p, i_q)(x^((w_p - w_q) t)).
 ``GeneratorImages.apply`` accumulates exactly these entries, and
 ``phi`` is ``apply`` on the vertices, edges and ghosts.  ``verify_phi``
 replays every defining relation on the images by matrix products (which
-visit only the nonzero entries of these monomial matrices), so it checks
-the closed form rather than trusting it.
+visit only the stored nonzero entries of these monomial matrices), so it
+checks the closed form rather than trusting it.
 ``phi_inverse_basis`` and ``pull_back`` invert the map explicitly,
 sending the matrix unit e_ij(x^(w t)) back to the canonical form of
 q_i c^w q_j* (a negative w putting the cycle power on the ghost side).
@@ -295,15 +295,15 @@ class GeneratorImages:
         out = []
         for block in self.report.blocks:
             base = block.algebra.base
-            grid = [[base.zero()] * block.n for _ in range(block.n)]
+            units = []
             for m, c in x.terms.items():
                 for k, q in enumerate(block.index_paths):
                     if q.base != m.p.end:
                         continue
                     i, wp = block.locate(g, m.p, k)
                     j, wq = block.locate(g, m.q, k)
-                    grid[i][j] = base.add(grid[i][j], base.monomial(c, (wp - wq) * block.t))
-            out.append(block.algebra.matrix(grid))
+                    units.append((i, j, base.monomial(c, (wp - wq) * block.t)))
+            out.append(block.algebra.sum_of_units(units))
         return tuple(out)
 
 
@@ -379,9 +379,10 @@ def verify_phi(images: GeneratorImages) -> VerificationReport:
     contraction, the range decomposition at non-sinks, and homogeneity
     of every generator image (vertices in degree 0, edges in 1, ghosts
     in -1).  The relations are replayed by multiplying the images, never
-    by reading the closed form of ``apply``; each product visits only
-    nonzero entries, so a product of two monomial images costs O(n^2)
-    scans plus at most n scalar products per block.
+    by reading the closed form of ``apply``.  The images are stored
+    sparsely, so a product, sum or comparison of two monomial images
+    costs O(n) per block: at most n scalar products and no scan of zero
+    entries.
     """
     report = images.report
     g = report.graph
@@ -506,9 +507,9 @@ def pull_back(report: DecompositionReport, mats) -> LpaElement:
         if mat.algebra != block.algebra:
             raise ValueError("block matrix bound to the wrong graded algebra")
         terms = block.algebra.base.terms
-        for i in range(block.n):
-            for j in range(block.n):
-                for exp, c in terms(mat.entry(i, j)).items():
+        for i, row in enumerate(mat.rows):
+            for j in sorted(row):
+                for exp, c in terms(row[j]).items():
                     m = block.preimage(i, j, exp // block.t)
                     raw[m] = field.add(raw.get(m, field.zero()), c)
     return algebra.normal_form(raw)

@@ -199,13 +199,14 @@ def dense_product(a, b):
     """The schoolbook n^3 product, kept as the oracle for ``*``."""
     base = a.algebra.base
     n = a.algebra.n
+    ga, gb = a.entries, b.entries
     rows = []
     for i in range(n):
         row = []
         for j in range(n):
             acc = base.zero()
             for k in range(n):
-                acc = base.add(acc, base.mul(a.entries[i][k], b.entries[k][j]))
+                acc = base.add(acc, base.mul(ga[i][k], gb[k][j]))
             row.append(acc)
         rows.append(tuple(row))
     return tuple(rows)
@@ -313,3 +314,161 @@ def test_component_and_homogeneity_match_entrywise_definition(base):
                 ]
                 assert a.component(m) == M.matrix(want)
                 assert a.is_homogeneous(m) == (a.component(m) == a)
+
+
+# -- sparse storage against dense oracles --------------------------------------
+#
+# Each oracle works entrywise on the dense grid ``entries``, zeros
+# included; the operations under test visit only the stored nonzeros of
+# the row dicts.
+
+
+def dense_sum(a, b):
+    add = a.algebra.base.add
+    return tuple(
+        tuple(add(x, y) for x, y in zip(r1, r2)) for r1, r2 in zip(a.entries, b.entries)
+    )
+
+
+def dense_neg(a):
+    neg = a.algebra.base.neg
+    return tuple(tuple(neg(x) for x in row) for row in a.entries)
+
+
+def dense_star(a):
+    star, grid, n = a.algebra.base.star, a.entries, a.algebra.n
+    return tuple(tuple(star(grid[j][i]) for j in range(n)) for i in range(n))
+
+
+def dense_component(a, m):
+    base, shifts = a.algebra.base, a.algebra.shifts
+    return tuple(
+        tuple(base.component(x, m + shifts[j] - shifts[i]) for j, x in enumerate(row))
+        for i, row in enumerate(a.entries)
+    )
+
+
+def dense_is_homogeneous(a, m):
+    base = a.algebra.base
+    return all(
+        base.is_zero(base.sub(x, y))
+        for row, crow in zip(a.entries, dense_component(a, m))
+        for x, y in zip(row, crow)
+    )
+
+
+def dense_degree(a):
+    base, shifts = a.algebra.base, a.algebra.shifts
+    degrees = set()
+    for i, row in enumerate(a.entries):
+        for j, x in enumerate(row):
+            if base.is_zero(x):
+                continue
+            try:
+                degrees.add(base.homogeneous_degree(x) + shifts[i] - shifts[j])
+            except ValueError:
+                return None
+    return degrees.pop() if len(degrees) == 1 else None
+
+
+def dense_is_zero(a):
+    return all(a.algebra.base.is_zero(x) for row in a.entries for x in row)
+
+
+def dense_to_json(M, grid):
+    return {
+        "base": M.base_to_json(),
+        "shifts": list(M.shifts),
+        "entries": [[M.entry_to_json(x) for x in row] for row in grid],
+    }
+
+
+def _assert_sparse(a):
+    """No zero stored, and the dense view puts the canonical zero elsewhere."""
+    base = a.algebra.base
+    assert len(a.rows) == a.algebra.n
+    for row in a.rows:
+        assert all(0 <= j < a.algebra.n for j in row)
+        assert not any(base.is_zero(x) for x in row.values())
+    zero = base.zero()
+    for i, row in enumerate(a.entries):
+        for j, x in enumerate(row):
+            if j not in a.rows[i]:
+                assert type(x) is type(zero) and x == zero
+
+
+def _assert_matches(got, grid):
+    """`got` is the matrix with dense grid `grid`: same entries, same JSON,
+    same (canonical) matrix as the dense constructor builds."""
+    M = got.algebra
+    _assert_sparse(got)
+    assert got.entries == grid
+    assert got.to_json() == dense_to_json(M, grid)
+    want = M.matrix(grid)
+    assert got == want and hash(got) == hash(want)
+    assert got.is_zero() == dense_is_zero(want)
+
+
+def _partial_negation(M, a, rng):
+    """-a on a random set of a's entries, random values elsewhere: a sum
+    with a that cancels only at the chosen positions."""
+    base = M.base
+    grid = [list(row) for row in a.entries]
+    for row in grid:
+        for j, x in enumerate(row):
+            row[j] = base.neg(x) if rng.random() < 0.5 else _random_scalar(base, rng)
+    return M.matrix(grid)
+
+
+def _pairs(M, shape, rng):
+    if shape == "dense":
+        return _dense(M, rng), _dense(M, rng)
+    if shape == "monomial":
+        return _monomial(M, rng), _monomial(M, rng)
+    return _cancelling(M, rng)
+
+
+@pytest.mark.parametrize("base", [Q, F7, L2], ids=["Q", "F7", "K[x^2,x^-2]"])
+@pytest.mark.parametrize("shape", ["dense", "monomial", "cancelling"])
+def test_sparse_operations_match_dense_oracles(base, shape):
+    rng = random.Random(f"sparse-{shape}-{base!r}")
+    for n in range(1, 9):
+        M = GradedMatrixAlgebra(base, tuple(rng.randint(-2, 2) for _ in range(n)))
+        for _ in range(6):
+            a, b = _pairs(M, shape, rng)
+            for x in (a, b):
+                _assert_matches(x, x.entries)
+                _assert_matches(-x, dense_neg(x))
+                _assert_matches(x.star(), dense_star(x))
+                assert x.is_zero() == dense_is_zero(x)
+                assert x.degree() == dense_degree(x)
+                for m in range(-6, 7):
+                    _assert_matches(x.component(m), dense_component(x, m))
+                    assert x.is_homogeneous(m) == dense_is_homogeneous(x, m)
+            _assert_matches(a + b, dense_sum(a, b))
+            c = _partial_negation(M, a, rng)
+            _assert_matches(a + c, dense_sum(a, c))
+            _assert_matches(a - b, dense_sum(a, M.matrix(dense_neg(b))))
+            _assert_matches(a * b, dense_product(a, b))
+            # a cancelled sum stores nothing, whatever order built it
+            assert a + (-a) == M.zero() and (a - a).is_zero()
+            assert not any((a - a).rows) and (-a) + a == M.zero()
+            # equal matrices built along different routes hash alike
+            for x, y in ((a + b, b + a), ((a + b) - b, a), (a.star().star(), a)):
+                assert x == y and hash(x) == hash(y)
+            if shape == "cancelling" and n > 1:
+                assert any(base.is_zero(x) for row in (a * b).entries for x in row)
+
+
+def test_dense_constructor_drops_zeros():
+    M = GradedMatrixAlgebra(Q, (0, 1))
+    a = M.matrix([[0, Fraction(2)], [Fraction(0), 0]])
+    assert a.rows == ({1: Fraction(2)}, {})
+    assert a.entry(1, 0) == 0 and a.entry(0, 1) == 2
+    assert M.unit(0, 1, Q.zero()) == M.zero() and M.zero().is_zero()
+    assert M.sum_of_units([(0, 0, Q.one()), (0, 0, -Q.one()), (1, 1, Q.one())]) == M.unit(
+        1, 1, Q.one()
+    )
+    R = LaurentRing(F7, 2)
+    ML = GradedMatrixAlgebra(R, (0,))
+    assert ML.matrix([[R.zero()]]).rows == ({},)

@@ -216,31 +216,59 @@ def test_verify_phi_catches_corruption():
     assert any(c.relation == "edge-degree-1" for c in result.failures())
 
 
-def test_verify_phi_multiplication_count_line_12(monkeypatch):
-    """Deterministic work gate: base-ring multiplications of the relation
-    replay on a 12-vertex line (one sink block, n = 12).  The dense
-    kernel spent n^3 = 1728 of them per product, 552960 in all."""
-    vs = [f"v{i}" for i in range(12)]
-    g = Graph(vs, [(f"e{i}", vs[i], vs[i + 1]) for i in range(11)])
+def _replay_work(monkeypatch, n):
+    """(matrix products, base-field multiplications, base-field zero tests)
+    of the relation replay on an n-vertex line: one sink block of size n."""
+    vs = [f"v{i}" for i in range(n)]
+    g = Graph(vs, [(f"e{i}", vs[i], vs[i + 1]) for i in range(n - 1)])
     images = phi(decompose(LeavittAlgebra(g, Rationals())))
-    counts = {"mul": 0, "products": 0}
-    field_mul, matrix_mul = Rationals.mul, GradedMatrix.__mul__
+    counts = {"mul": 0, "products": 0, "is_zero": 0}
+    field_mul, field_is_zero, matrix_mul = Rationals.mul, Rationals.is_zero, GradedMatrix.__mul__
 
     def counting_field_mul(self, a, b):
         counts["mul"] += 1
         return field_mul(self, a, b)
+
+    def counting_is_zero(self, a):
+        counts["is_zero"] += 1
+        return field_is_zero(self, a)
 
     def counting_matrix_mul(self, other):
         counts["products"] += 1
         return matrix_mul(self, other)
 
     monkeypatch.setattr(Rationals, "mul", counting_field_mul)
+    monkeypatch.setattr(Rationals, "is_zero", counting_is_zero)
     monkeypatch.setattr(GradedMatrix, "__mul__", counting_matrix_mul)
     assert verify_phi(images).all_passed
+    return counts["products"], counts["mul"], counts["is_zero"]
+
+
+def test_verify_phi_multiplication_count_line_12(monkeypatch):
+    """Deterministic work gate: base-ring multiplications of the relation
+    replay on a 12-vertex line (one sink block, n = 12).  The dense
+    kernel spent n^3 = 1728 of them per product, 552960 in all.  Zero
+    tests: 144 diagonal reads for block coverage and 34 homogeneity tests,
+    one per stored image entry; the dense grid storage made 97234."""
+    products, mul, is_zero = _replay_work(monkeypatch, 12)
     # 144 orthogonality + 44 endpoint + 121 ghost-edge + 11 range products
-    assert counts["products"] == 320
-    assert counts["mul"] == 78
-    assert counts["mul"] <= counts["products"] * 12
+    assert products == 320
+    assert mul == 78
+    assert mul <= products * 12
+    assert is_zero == 178
+    assert is_zero <= products
+
+
+def test_verify_phi_work_count_line_40(monkeypatch):
+    """The same gate on a 40-vertex line: products and comparisons visit
+    only stored nonzeros, so zero tests stay below the product count
+    (the dense grid storage made 10801718 of them)."""
+    products, mul, is_zero = _replay_work(monkeypatch, 40)
+    # 1600 orthogonality + 156 endpoint + 1521 ghost-edge + 39 range products
+    assert products == 3316
+    assert mul == 274
+    assert is_zero == 1718
+    assert is_zero <= products
 
 
 def test_verify_phi_json():
