@@ -5,11 +5,12 @@ Every command reads a graph from --input (JSON: {"vertices": [...],
 JSON by default, aligned text with --format text.
 
 Exit codes: 0 success; 1 malformed input (nothing on stdout), which
-includes an element coefficient the field cannot parse and an
-inhomogeneous --element to regular-witness; 2 the graph has a cycle
-with an exit where the command needs the no-exit condition; 3 an
-internal verification replay failed; 4 any other internal error (one
-``error: internal: ...`` line on stderr, nothing on stdout).
+includes a graph with no vertices, an element coefficient the field
+cannot parse and an inhomogeneous --element to regular-witness; 2 the
+graph has a cycle with an exit where the command needs the no-exit
+condition; 3 an internal verification replay failed; 4 any other
+internal error (one ``error: internal: ...`` line on stderr, nothing on
+stdout).
 """
 
 from __future__ import annotations

@@ -106,6 +106,8 @@ class Graph:
 
     def __init__(self, vertices, edges):
         vs = tuple(str(v) for v in vertices)
+        if not vs:
+            raise GraphError("a graph needs at least one vertex")
         if len(set(vs)) != len(vs):
             raise GraphError("duplicate vertex identifiers")
         self.vertices = vs
@@ -161,10 +163,6 @@ class Graph:
     def is_sink(self, v: str) -> bool:
         return not self.out_edges(v)
 
-    def is_regular(self, v: str) -> bool:
-        """A vertex that emits at least one edge (finite graphs: not a sink)."""
-        return bool(self.out_edges(v))
-
     @cached_property
     def no_exit_cycles(self):
         """The cycles, sorted by base, when none has an exit; else None.
@@ -189,12 +187,6 @@ class Graph:
 
     def empty_path(self, v: str) -> Path:
         return self.path(v)
-
-    def extend(self, p: Path, eid: str) -> Path:
-        e = self.edge(eid)
-        if e.src != p.end:
-            raise GraphError(f"edge {eid} does not extend a path ending at {p.end}")
-        return Path(p.base, p.edges + (eid,), e.dst)
 
     def cycle(self, edge_ids) -> Cycle:
         """Build the canonical cycle through the given closed simple edge walk."""

@@ -362,12 +362,6 @@ class LpaElement:
                 raw[m] = field.add(raw.get(m, field.zero()), c)
         return self.algebra.normal_form(raw)
 
-    def scale(self, c) -> "LpaElement":
-        field = self.algebra.field
-        if field.is_zero(c):
-            return self.algebra.zero()
-        return LpaElement(self.algebra, {m: field.mul(c, v) for m, v in self.terms.items()})
-
     def star(self) -> "LpaElement":
         """The involution (c p q*)* = c q p*; admissibility is symmetric in p, q."""
         return LpaElement(self.algebra, {m.star(): c for m, c in self.terms.items()})
@@ -387,13 +381,6 @@ class LpaElement:
 
     def is_homogeneous(self) -> bool:
         return len({m.degree for m in self.terms}) <= 1
-
-    def homogeneous_components(self) -> dict:
-        field = self.algebra.field
-        comps: dict = {}
-        for m, c in self.terms.items():
-            comps.setdefault(m.degree, {})[m] = c
-        return {d: LpaElement(self.algebra, t) for d, t in sorted(comps.items())}
 
     def component(self, degree: int) -> "LpaElement":
         return LpaElement(

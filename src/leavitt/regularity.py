@@ -1,9 +1,11 @@
 """Constructive regularity and idempotent structure.
 
 An inner inverse of a is any b with a b a = a.  Over a field every
-matrix has one (rank factorization); over a Laurent ring a matrix has
-one exactly when its diagonal form has unit-or-zero entries, which for
-the homogeneous matrices arising here is automatic.  Transporting a
+matrix has one, read off one sparse Gauss-Jordan pass on the stored
+rows; over a Laurent ring a matrix has one exactly when its diagonal
+form has unit-or-zero entries, which for the homogeneous matrices
+arising here is automatic.  Both build b with the sparse row operations
+and product of ``gmatrix``; no dense product is formed.  Transporting a
 homogeneous algebra element through the block isomorphism, inverting
 blockwise, pulling back and projecting onto the single degree that can
 matter produces a graded inner inverse; `graded_inner_inverse` is that
@@ -22,7 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .gmatrix import GradedMatrix
+from .gmatrix import GradedMatrix, _add_into
 from .lpa import LpaElement
 from .scalar import LaurentRing, smith_normal_form
 from .structure import (
@@ -44,35 +46,36 @@ class NotRegularError(RuntimeError):
 
 
 def _row_reduce(rows, field):
-    """Gauss-Jordan over `field` on a list-of-lists copy.
+    """Gauss-Jordan over `field` on sparse rows (dicts column -> nonzero entry).
 
-    Returns (rref, transform, pivot_cols) with transform * input = rref.
+    Returns (rref, transform, pivot_cols), the matrices as lists of row
+    dicts, with transform * input = rref.  A column that is zero in the
+    input stays zero under row operations, so only the stored columns
+    are scanned for pivots.
     """
+    add, mul, neg, is_zero = field.add, field.mul, field.neg, field.is_zero
     m = len(rows)
-    n = len(rows[0]) if m else 0
-    a = [list(r) for r in rows]
-    t = [[field.one() if i == j else field.zero() for j in range(m)] for i in range(m)]
+    a = [dict(r) for r in rows]
+    t = [{i: field.one()} for i in range(m)]
     pivots = []
     r = 0
-    for c in range(n):
-        pick = None
-        for i in range(r, m):
-            if not field.is_zero(a[i][c]):
-                pick = i
-                break
+    for c in sorted(set().union(*a)):
+        pick = next((i for i in range(r, m) if c in a[i]), None)
         if pick is None:
             continue
         a[r], a[pick] = a[pick], a[r]
         t[r], t[pick] = t[pick], t[r]
         inv = field.invert(a[r][c])
-        a[r] = [field.mul(inv, x) for x in a[r]]
-        t[r] = [field.mul(inv, x) for x in t[r]]
+        a[r] = {j: mul(inv, x) for j, x in a[r].items()}
+        t[r] = {j: mul(inv, x) for j, x in t[r].items()}
         for i in range(m):
-            if i == r or field.is_zero(a[i][c]):
+            f = a[i].get(c)
+            if i == r or f is None:
                 continue
-            f = a[i][c]
-            a[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(a[i], a[r])]
-            t[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(t[i], t[r])]
+            f = neg(f)
+            for src, dst in ((a[r], a[i]), (t[r], t[i])):
+                for j, y in src.items():
+                    _add_into(dst, j, mul(f, y), add, is_zero)
         pivots.append(c)
         r += 1
         if r == m:
@@ -80,56 +83,25 @@ def _row_reduce(rows, field):
     return a, t, pivots
 
 
-def _mat_mul(a, b, field):
-    if not a or not b:
-        return []
-    n, k, m = len(a), len(b), len(b[0])
-    out = [[field.zero() for _ in range(m)] for _ in range(n)]
-    for i in range(n):
-        for j in range(m):
-            acc = field.zero()
-            for s in range(k):
-                acc = field.add(acc, field.mul(a[i][s], b[s][j]))
-            out[i][j] = acc
-    return out
-
-
 def field_rank(rows, field) -> int:
-    if not rows:
-        return 0
-    _, _, pivots = _row_reduce(rows, field)
-    return len(pivots)
+    """Rank of a matrix given by its sparse rows (`GradedMatrix.rows`)."""
+    return len(_row_reduce(rows, field)[2])
 
 
 def inner_inverse_field(a: GradedMatrix) -> GradedMatrix:
-    """An inner inverse over the field base, via rank factorization.
+    """An inner inverse over the field base, from one Gauss-Jordan pass.
 
-    Write a = C R with C the pivot columns and R the nonzero rows of the
-    reduced form; then b = R^+ C^+ built from one-sided inverses
-    satisfies a b a = a.  Zero maps to zero.
+    With T a = E reduced and pivot columns c_0 < ... < c_(r-1), let S put
+    row k at row c_k.  E has an identity block at the pivot columns, so
+    E S E = E, and b = S T gives a b a = T^-1 E S E = a: row c_k of b is
+    row k of T and every other row is zero.  Zero maps to zero.
     """
     alg = a.algebra
-    field = alg.base
-    n = alg.n
-    grid = a.entries  # a view built on every read: read it once
-    rref, _, pivots = _row_reduce(grid, field)
-    r = len(pivots)
-    if r == 0:
-        return alg.zero()
-    cmat = [[grid[i][c] for c in pivots] for i in range(n)]  # n x r
-    rmat = rref[:r]  # r x n
-    # R has an identity block at the pivot columns, so placing 1s there
-    # transposed gives a right inverse of R
-    rplus = [[field.zero() for _ in range(r)] for _ in range(n)]
+    _, t, pivots = _row_reduce(a.rows, alg.base)
+    rows = [{} for _ in range(alg.n)]
     for k, c in enumerate(pivots):
-        rplus[c][k] = field.one()
-    # a left inverse of C: row-reduce C, keep the first r transform rows
-    _, ct, cpiv = _row_reduce(cmat, field)
-    if len(cpiv) != r:
-        raise AssertionError("pivot columns lost rank; exact arithmetic bug")
-    cplus = ct[:r]  # r x n
-    b = _mat_mul(rplus, cplus, field)  # n x n
-    return alg.matrix(b)
+        rows[c] = t[k]
+    return GradedMatrix(alg, tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -140,27 +112,28 @@ def inner_inverse_field(a: GradedMatrix) -> GradedMatrix:
 def inner_inverse_laurent(a: GradedMatrix) -> GradedMatrix:
     """An inner inverse over a Laurent base, via the diagonal form.
 
-    With U a V = D diagonal, b = V D^+ U works whenever every nonzero
+    With U a V = D diagonal, b = V (D^+ U) works whenever every nonzero
     diagonal entry is a unit; a nonzero non-unit entry certifies that no
     inner inverse exists at all (d = d^2 r in a domain forces d a unit),
-    and raises NotRegularError.
+    and raises NotRegularError.  D^+ is diagonal, so D^+ U scales the
+    rows of U, and the one product is the sparse matrix product.
     """
     alg = a.algebra
     ring = alg.base
-    n = alg.n
     u, d, v = smith_normal_form(a.entries, ring)
-    dplus = [[ring.zero() for _ in range(n)] for _ in range(n)]
-    for i in range(n):
+    rows = []
+    for i, urow in enumerate(u):
         x = d[i][i]
         if ring.is_zero(x):
+            rows.append({})
             continue
         if not ring.is_unit(x):
             raise NotRegularError(
                 "diagonal form has the nonzero non-unit entry " + ring.format(x)
             )
-        dplus[i][i] = ring.unit_inverse(x)
-    b = _mat_mul(v, _mat_mul(dplus, u, ring), ring)
-    return alg.matrix(b)
+        inv = ring.unit_inverse(x)
+        rows.append({j: ring.mul(inv, y) for j, y in enumerate(urow) if not ring.is_zero(y)})
+    return alg.matrix(v) * GradedMatrix(alg, tuple(rows))
 
 
 def inner_inverse(a: GradedMatrix) -> GradedMatrix:
@@ -208,11 +181,10 @@ def block_ranks(images: GeneratorImages, x: LpaElement):
     mats = images.apply(x)
     out = []
     for block, mat in zip(images.report.blocks, mats):
-        rows = mat.entries
         if block.algebra.is_laurent:
-            out.append(laurent_rank(rows, block.algebra.base))
+            out.append(laurent_rank(mat.entries, block.algebra.base))
         else:
-            out.append(field_rank(rows, block.algebra.base))
+            out.append(field_rank(mat.rows, block.algebra.base))
     return tuple(out)
 
 

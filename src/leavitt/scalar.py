@@ -307,9 +307,6 @@ class LaurentRing:
                 acc[e] = self.field.add(acc.get(e, self.field.zero()), self.field.mul(c1, c2))
         return self._make(acc)
 
-    def scale(self, a: LaurentElement, c) -> LaurentElement:
-        return self._make({e: self.field.mul(c, v) for e, v in a.terms.items()})
-
     def is_zero(self, a: LaurentElement) -> bool:
         return not a.terms
 

@@ -127,6 +127,28 @@ def test_unparsable_coefficient_is_exit_1(tmp_path, capsys, coeff, field):
     _assert_malformed(*run_main(capsys, argv))
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        "classify",
+        "decompose",
+        "dims",
+        "verify-iso",
+        "regular-witness",
+        "idempotent-report",
+        "type-witness",
+    ],
+)
+def test_graph_without_vertices_is_exit_1(tmp_path, capsys, command):
+    """A graph needs a vertex: every command refuses an empty one as input."""
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"vertices": [], "edges": []}))
+    argv = [command, "--input", str(empty)]
+    if command == "idempotent-report":
+        argv += ["--element", _element_file(tmp_path, [])]
+    _assert_malformed(*run_main(capsys, argv))
+
+
 def test_decimal_string_coefficient_is_exact(tmp_path, capsys):
     """The string "0.1" is read as exactly 1/10, unlike the JSON number 0.1."""
     p = write_graph(tmp_path, build_corpus()["loop"])

@@ -124,11 +124,9 @@ def test_degree_and_components():
     mixed = e1 + A.vertex("v1")
     assert mixed.degree() is None and not mixed.is_homogeneous()
     assert A.zero().degree() is None and A.zero().is_homogeneous()
-    comps = mixed.homogeneous_components()
-    assert set(comps) == {0, 1}
-    assert comps[1] == e1 and comps[0] == A.vertex("v1")
-    assert mixed.component(1) == e1
-    assert sum(comps.values(), A.zero()) == mixed
+    assert mixed.component(1) == e1 and mixed.component(0) == A.vertex("v1")
+    assert mixed.component(2).is_zero()
+    assert mixed.component(0) + mixed.component(1) == mixed
 
 
 def test_involution_properties():

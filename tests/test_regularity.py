@@ -8,6 +8,7 @@ import pytest
 
 from corpus import build_corpus
 from leavitt import (
+    Graph,
     GradedMatrixAlgebra,
     LaurentRing,
     LeavittAlgebra,
@@ -23,10 +24,14 @@ from leavitt import (
     inner_inverse,
     inner_inverse_field,
     inner_inverse_laurent,
+    no_exit_condition,
     phi,
     sample_homogeneous,
+    smith_normal_form,
     type_I_witness,
 )
+from leavitt import regularity
+from leavitt.regularity import field_rank, regularity_witness_report
 
 Q = Rationals()
 
@@ -315,3 +320,308 @@ def test_sample_homogeneous_determinism():
     b = sample_homogeneous(A, random.Random(42))
     assert a == b
     assert not a.is_zero() and a.degree() is not None
+
+
+# -- the sparse one-pass inverses against the dense routes they replaced -------------
+#
+# The oracles are the earlier dense versions: a field inverse from two
+# Gauss-Jordan passes (one on the matrix, one on its pivot columns) and a
+# placement-matrix product, the dense rank, and the Laurent inverse as the
+# dense product V D^+ U.  The one-pass inverse equals the two-pass one
+# exactly, not only as some inner inverse: the second pass repeats the row
+# operations of the first, so its transform is the first one's.
+
+
+def oracle_row_reduce(rows, field):
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    a = [list(r) for r in rows]
+    t = [[field.one() if i == j else field.zero() for j in range(m)] for i in range(m)]
+    pivots = []
+    r = 0
+    for c in range(n):
+        pick = next((i for i in range(r, m) if not field.is_zero(a[i][c])), None)
+        if pick is None:
+            continue
+        a[r], a[pick] = a[pick], a[r]
+        t[r], t[pick] = t[pick], t[r]
+        inv = field.invert(a[r][c])
+        a[r] = [field.mul(inv, x) for x in a[r]]
+        t[r] = [field.mul(inv, x) for x in t[r]]
+        for i in range(m):
+            if i == r or field.is_zero(a[i][c]):
+                continue
+            f = a[i][c]
+            a[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(a[i], a[r])]
+            t[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(t[i], t[r])]
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    return a, t, pivots
+
+
+def oracle_mat_mul(a, b, ring):
+    if not a or not b:
+        return []
+    out = [[ring.zero() for _ in range(len(b[0]))] for _ in range(len(a))]
+    for i, row in enumerate(a):
+        for j in range(len(b[0])):
+            acc = ring.zero()
+            for s, x in enumerate(row):
+                acc = ring.add(acc, ring.mul(x, b[s][j]))
+            out[i][j] = acc
+    return out
+
+
+def oracle_field_rank(grid, field):
+    return len(oracle_row_reduce(grid, field)[2])
+
+
+def oracle_inner_inverse_field(a):
+    """b = R^+ C^+ from a rank factorization a = C R."""
+    alg, field, n = a.algebra, a.algebra.base, a.algebra.n
+    grid = a.entries
+    _, _, pivots = oracle_row_reduce(grid, field)
+    r = len(pivots)
+    if r == 0:
+        return alg.zero()
+    cmat = [[grid[i][c] for c in pivots] for i in range(n)]
+    rplus = [[field.zero() for _ in range(r)] for _ in range(n)]
+    for k, c in enumerate(pivots):
+        rplus[c][k] = field.one()
+    _, ct, cpiv = oracle_row_reduce(cmat, field)
+    assert len(cpiv) == r
+    return alg.matrix(oracle_mat_mul(rplus, ct[:r], field))
+
+
+def oracle_inner_inverse_laurent(a):
+    alg, ring, n = a.algebra, a.algebra.base, a.algebra.n
+    u, d, v = smith_normal_form(a.entries, ring)
+    dplus = [[ring.zero() for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        x = d[i][i]
+        if ring.is_zero(x):
+            continue
+        if not ring.is_unit(x):
+            raise NotRegularError("diagonal form has the nonzero non-unit entry " + ring.format(x))
+        dplus[i][i] = ring.unit_inverse(x)
+    return alg.matrix(oracle_mat_mul(v, oracle_mat_mul(dplus, u, ring), ring))
+
+
+def oracle_inner_inverse(a):
+    if a.algebra.is_laurent:
+        return oracle_inner_inverse_laurent(a)
+    return oracle_inner_inverse_field(a)
+
+
+def _outcome(fn, a):
+    """('ok', b) or ('refused', message): NotRegularError is an answer too."""
+    try:
+        return "ok", fn(a)
+    except NotRegularError as exc:
+        return "refused", str(exc)
+
+
+def _random_scalar_grid(rng, field, n, shape):
+    def x():
+        return field.from_int(rng.randint(-3, 3))
+
+    if shape == "zero":
+        return [[field.zero()] * n for _ in range(n)]
+    if shape == "monomial":
+        grid = [[field.zero()] * n for _ in range(n)]
+        for i, j in zip(range(n), rng.sample(range(n), n)):
+            if rng.random() < 0.8:
+                grid[i][j] = field.from_int(rng.randint(1, 6))
+        return grid
+    if shape == "low_rank":  # an n x k times a k x n product, k < n
+        k = rng.randint(1, n - 1) if n > 1 else 0
+        if k == 0:
+            return [[field.zero()] * n for _ in range(n)]
+        left = [[x() for _ in range(k)] for _ in range(n)]
+        right = [[x() for _ in range(n)] for _ in range(k)]
+        return oracle_mat_mul(left, right, field)
+    return [[x() if rng.random() < 0.6 else field.zero() for _ in range(n)] for _ in range(n)]
+
+
+def _random_laurent_matrix(rng, n, shape):
+    step = rng.randint(1, 3)
+    R = LaurentRing(Q, step)
+    shifts = tuple(rng.randint(0, 2) for _ in range(n))
+    M = GradedMatrixAlgebra(R, shifts)
+    if shape == "homogeneous":
+        lam = rng.randint(-4, 4)
+        rows = []
+        for i in range(n):
+            row = []
+            for j in range(n):
+                d = lam + shifts[j] - shifts[i]
+                if d % step == 0 and rng.random() < 0.6:
+                    row.append(R.monomial(Fraction(rng.randint(-3, 3)), d))
+                else:
+                    row.append(R.zero())
+            rows.append(row)
+        return M.matrix(rows)
+    if shape == "zero":
+        return M.zero()
+    # arbitrary entries: a mix of inverses and NotRegularError refusals
+    def entry():
+        return R.from_terms(
+            {e: Fraction(rng.randint(-2, 2)) for e in (0, step) if rng.random() < 0.4}
+        )
+
+    return M.matrix([[entry() for _ in range(n)] for _ in range(n)])
+
+
+def random_inverse_cases(seed=23):
+    """Seeded matrices over Q, F_7 and Q[x^t, x^-t], n = 1..8, in every shape."""
+    rng = random.Random(seed)
+    cases = []
+    for field in (Q, PrimeField(7)):
+        for shape in ("dense", "low_rank", "monomial", "zero"):
+            for n in range(1, 9):
+                for _ in range(6):
+                    M = GradedMatrixAlgebra(field, tuple(rng.randint(0, 2) for _ in range(n)))
+                    cases.append(M.matrix(_random_scalar_grid(rng, field, n, shape)))
+    for shape in ("homogeneous", "general", "zero"):
+        for n in range(1, 9 if shape != "general" else 5):
+            for _ in range(6):
+                cases.append(_random_laurent_matrix(rng, n, shape))
+    return cases
+
+
+def mismatches(cases, expected):
+    """How many cases get another answer than the oracle's: another b (as
+    a GradedMatrix, so a stored zero counts), another refusal, a crash."""
+    bad = 0
+    for a, want in zip(cases, expected):
+        try:
+            got = _outcome(inner_inverse, a)
+        except Exception:  # a mutant may crash outright
+            bad += 1
+            continue
+        if got != want or (got[0] == "ok" and got[1].to_json() != want[1].to_json()):
+            bad += 1
+    return bad
+
+
+def test_inner_inverse_equals_dense_oracle():
+    cases = random_inverse_cases()
+    expected = [_outcome(oracle_inner_inverse, a) for a in cases]
+    assert {kind for kind, _ in expected} == {"ok", "refused"}  # both behaviors
+    assert mismatches(cases, expected) == 0
+    for a, (kind, b) in zip(cases, expected):
+        if kind == "ok":
+            assert a * b * a == a
+        if not a.algebra.is_laurent:
+            assert field_rank(a.rows, a.algebra.base) == oracle_field_rank(
+                a.entries, a.algebra.base
+            )
+
+
+_sparse_row_reduce = regularity._row_reduce
+
+
+def _wrong_pivot_row_reduce(rows, field):
+    a, t, pivots = _sparse_row_reduce(rows, field)
+    return a, t, pivots[1:] + pivots[:1]
+
+
+def _add_into_keeping_zeros(row, j, x, add, is_zero):
+    row[j] = add(row[j], x) if j in row else x
+
+
+def _no_dplus_scaling(ring, x):
+    return ring.one()
+
+
+@pytest.mark.parametrize(
+    "owner, name, mutant",
+    [
+        (regularity, "_row_reduce", _wrong_pivot_row_reduce),
+        (regularity, "_add_into", _add_into_keeping_zeros),
+        (LaurentRing, "unit_inverse", _no_dplus_scaling),
+    ],
+    ids=["transform-row-at-wrong-pivot", "cancelled-sum-stored", "no-dplus-scaling"],
+)
+def test_oracle_comparison_catches_mutants(monkeypatch, owner, name, mutant):
+    cases = random_inverse_cases()
+    expected = [_outcome(oracle_inner_inverse, a) for a in cases]
+    monkeypatch.setattr(owner, name, mutant)
+    assert mismatches(cases, expected) > 0
+
+
+def test_witness_report_matches_oracle_route_on_random_graphs():
+    """regular-witness transcripts on random no-exit multigraphs, over Q and
+    F_3, are the ones the dense oracle route gives, term for term."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    labels = ("v2", "v10", "a", "z", "m1")
+
+    @st.composite
+    def no_exit_graphs(draw):
+        vs = draw(st.permutations(labels))[: draw(st.integers(1, len(labels)))]
+        ends = draw(st.lists(st.tuples(st.sampled_from(vs), st.sampled_from(vs)), max_size=8))
+        keep = []
+        for k, (s, d) in enumerate(ends):
+            if no_exit_condition(Graph(vs, keep + [(f"e{k}", s, d)])):
+                keep.append((f"e{k}", s, d))
+        return Graph(vs, keep)
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(
+        no_exit_graphs(), st.sampled_from((Q, PrimeField(3))), st.integers(0, 2**32 - 1)
+    )
+    def check(g, field, seed):
+        images = phi(decompose(LeavittAlgebra(g, field)))
+        rng = random.Random(seed)
+        for _ in range(3):
+            a = sample_homogeneous(images.report.algebra, rng)
+            got = regularity_witness_report(images, a)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(regularity, "inner_inverse", oracle_inner_inverse)
+                want = regularity_witness_report(images, a)
+            assert got == want
+
+    check()
+
+
+def _inner_inverse_mul_counts(monkeypatch, graph, field, counted):
+    """Base-ring multiplications `counted.mul` per inner_inverse of each
+    edge image (every edge lies in one block here)."""
+    images = phi(decompose(LeavittAlgebra(graph, field)))
+    A = images.report.algebra
+    mats = [next(m for m in images.apply(A.edge(e.id)) if not m.is_zero()) for e in graph.edges]
+    count = [0]
+    mul = counted.mul
+
+    def counting_mul(self, x, y):
+        count[0] += 1
+        return mul(self, x, y)
+
+    monkeypatch.setattr(counted, "mul", counting_mul)
+    out = set()
+    for m in mats:
+        count[0] = 0
+        inner_inverse(m)
+        out.add(count[0])
+    return out
+
+
+def test_inner_inverse_work_count_edge_images(monkeypatch):
+    """Deterministic work gate: an edge image is one matrix unit, so over
+    K its inverse costs two multiplications (scaling the pivot row of the
+    reduced matrix and of the transform), and over K[x^t, x^-t] also two
+    (scaling the one nonzero row of D^+ U and the one product of stored
+    entries).  The two-pass inverse with its dense products spent 1721
+    field multiplications on a 40-vertex line (n = 40) and 2 * 35^3 =
+    85750 Laurent ones on a 5-cycle fed by a 30-edge tail (n = 35)."""
+    vs = [f"v{i}" for i in range(40)]
+    line = Graph(vs, [(f"e{i}", vs[i], vs[i + 1]) for i in range(39)])
+    assert _inner_inverse_mul_counts(monkeypatch, line, Q, Rationals) == {2}
+    us = [f"u{i}" for i in range(35)]
+    edges = [(f"h{i}", us[i], us[i + 1]) for i in range(30)]
+    edges += [(f"c{i}", us[30 + i], us[30 + (i + 1) % 5]) for i in range(5)]
+    fed = Graph(us, edges)
+    assert _inner_inverse_mul_counts(monkeypatch, fed, Q, LaurentRing) == {2}
