@@ -16,9 +16,11 @@ stdout).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .graph import Graph, GraphError, InfiniteEnumerationError
 from .lpa import LeavittAlgebra
@@ -64,9 +66,69 @@ def _load_element(algebra: LeavittAlgebra, path: str):
     return algebra.element_from_json(data)
 
 
+_SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})
+
+
+@functools.cache
+def _flat_encoder(depth):
+    """The C encoder for a dict or list at `depth` whose values are all
+    scalars: it joins the items with the newline and indent of depth + 1,
+    and the caller moves the brackets onto lines of their own."""
+    sep = ",\n" + "  " * (depth + 1)
+    return json.JSONEncoder(separators=(sep, ": "), sort_keys=True).encode
+
+
+def _json_text(obj):
+    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte.
+
+    The stdlib's indented encoding is pure Python.  Here containers are
+    walked in Python and every dict or list of scalars is one C-encoder
+    call; the pieces are joined once at the end.
+    """
+    chunks = []
+    _encode_into(chunks, obj, 0)
+    return "".join(chunks)
+
+
+def _encode_into(chunks, obj, depth):
+    is_dict = isinstance(obj, dict)
+    if not (is_dict or isinstance(obj, (list, tuple))):
+        chunks.append(_flat_encoder(depth)(obj))
+        return
+    if not obj:
+        chunks.append("{}" if is_dict else "[]")
+        return
+    indent = "\n" + "  " * depth
+    inner = indent + "  "
+    if set(map(type, obj.values() if is_dict else obj)) <= _SCALAR_TYPES:
+        text = _flat_encoder(depth)(obj)
+        chunks += (text[0], inner, text[1:-1], indent, text[-1])
+        return
+    if not is_dict:
+        chunks.append("[")
+        for v in obj:
+            chunks.append(inner)
+            _encode_into(chunks, v, depth + 1)
+            chunks.append(",")
+        chunks[-1] = indent + "]"
+        return
+    if not set(map(type, obj)) <= {str}:
+        # non-str keys: the stdlib's own text, re-indented; encoded JSON
+        # holds no literal newline, so every newline is a line break
+        text = json.dumps(obj, indent=2, sort_keys=True)
+        chunks.append(text.replace("\n", indent))
+        return
+    chunks.append("{")
+    for k in sorted(obj):
+        chunks += (inner, encode_basestring_ascii(k), ": ")
+        _encode_into(chunks, obj[k], depth + 1)
+        chunks.append(",")
+    chunks[-1] = indent + "}"
+
+
 def _emit(args, obj, text_lines):
     if args.format == "json":
-        print(json.dumps(obj, indent=2, sort_keys=True))
+        print(_json_text(obj))
     else:
         for line in text_lines:
             print(line)
@@ -215,7 +277,9 @@ def cmd_type_witness(args) -> int:
 # -- wiring -------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; `main` reuses it."""
     parser = argparse.ArgumentParser(
         prog="leavitt",
         description="Leavitt path algebras of finite graphs: graded structure, "
@@ -241,16 +305,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="graded structure flags of the algebra")
     common(p)
-    p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("decompose", help="the graded matrix block decomposition")
     common(p)
-    p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("dims", help="graded dimension series, algebra vs blocks")
     common(p)
     p.add_argument("--bound", type=int, default=10, help="degree bound (default 10)")
-    p.set_defaults(func=cmd_dims)
 
     p = sub.add_parser("verify-iso", help="replay every relation on the block images")
     common(p)
@@ -259,29 +320,27 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="deliberately break one image first (self-test of the failure path)",
     )
-    p.set_defaults(func=cmd_verify_iso)
 
     p = sub.add_parser("regular-witness", help="inner inverse transcripts a b a = a")
     common(p, element=True)
     p.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
     p.add_argument("--samples", type=int, default=1, help="sample count (default 1)")
-    p.set_defaults(func=cmd_regular_witness)
 
     p = sub.add_parser("idempotent-report", help="classify an idempotent element")
     common(p, element=True, element_required=True)
-    p.set_defaults(func=cmd_idempotent_report)
 
     p = sub.add_parser("type-witness", help="the canonical faithful abelian idempotent")
     common(p)
-    p.set_defaults(func=cmd_type_witness)
 
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # looked up per call, so a replaced command function is the one run
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except (GraphError, json.JSONDecodeError, OSError) as exc:
         print(f"error: malformed input: {exc}", file=sys.stderr)
         return 1

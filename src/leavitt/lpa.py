@@ -88,7 +88,10 @@ class LeavittAlgebra:
         self.graph = graph
         self.field = field if field is not None else Rationals()
         self.special = special_edges(graph)
-        self._paths_cache: dict = {}
+        # paths_up_to(graph, cap) for the largest cap asked so far; it is
+        # sorted by length first, so a smaller cap's paths are a prefix
+        self._paths: tuple = ()
+        self._paths_cap = -1
         self._basis_cache: dict = {}
 
     # -- element construction -------------------------------------------
@@ -235,10 +238,13 @@ class LeavittAlgebra:
         cached = self._basis_cache.get((degree, cap))
         if cached is not None:
             return cached
-        if cap not in self._paths_cache:
-            self._paths_cache[cap] = paths_up_to(self.graph, cap)
+        if cap > self._paths_cap:
+            self._paths = paths_up_to(self.graph, cap)
+            self._paths_cap = cap
         by_end_len: dict = {}
-        for p in self._paths_cache[cap]:
+        for p in self._paths:
+            if len(p.edges) > cap:
+                break
             by_end_len.setdefault((p.end, len(p.edges)), []).append(p)
         out = []
         for (end, lp), ps in by_end_len.items():

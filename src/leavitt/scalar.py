@@ -499,6 +499,9 @@ def smith_normal_form(m, ring: LaurentRing):
                     w = ring.width(a[i][j])
                     if best is None or w < best[0]:
                         best = (w, i, j)
+                        if w == 0:
+                            # no width is smaller: the scan would keep this one
+                            return best
         return best
 
     s = 0
@@ -536,7 +539,10 @@ def smith_normal_form(m, ring: LaurentRing):
                     break
             if dirty:
                 continue
-            # pivot row and column clean; enforce divisibility of the rest
+            # pivot row and column clean; enforce divisibility of the rest,
+            # which a unit pivot has already
+            if ring.is_unit(a[s][s]):
+                break
             culprit = None
             for i in range(s + 1, rows):
                 for j in range(s + 1, cols):

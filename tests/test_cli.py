@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from corpus import build_corpus, build_negative
-from leavitt import Graph, cli
+from leavitt import Graph, PrimeField, Rationals, cli
 
 
 def write_graph(tmp_path, graph, name="graph.json"):
@@ -313,3 +313,63 @@ def test_installed_script_runs(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["no_exit"] is True
+
+
+# -- one parser per process: repeated main() calls share nothing else ---------
+
+
+def _recorder(monkeypatch, name):
+    """Replace one command function by one that records its arguments."""
+    seen = []
+
+    def record(args):
+        seen.append(args)
+        return 0
+
+    monkeypatch.setattr(cli, name, record)
+    return seen
+
+
+def test_field_option_does_not_carry_over(tmp_path, capsys, monkeypatch):
+    seen = _recorder(monkeypatch, "cmd_decompose")
+    p = write_graph(tmp_path, build_corpus()["a3"])
+    assert cli.main(["decompose", "--input", p, "--field", "fp:7"]) == 0
+    assert cli.main(["decompose", "--input", p]) == 0
+    assert isinstance(seen[0].field, PrimeField) and seen[0].field.p == 7
+    assert isinstance(seen[1].field, Rationals)
+
+
+def test_element_option_does_not_carry_over(tmp_path, capsys, monkeypatch):
+    seen = _recorder(monkeypatch, "cmd_regular_witness")
+    p = write_graph(tmp_path, build_corpus()["loop"])
+    elem = _element_file(tmp_path, [])
+    assert cli.main(["regular-witness", "--input", p, "--element", elem]) == 0
+    assert cli.main(["regular-witness", "--input", p]) == 0
+    assert seen[0].element == elem and seen[1].element is None
+    assert (seen[1].seed, seen[1].samples) == (0, 1)
+
+
+def test_valid_call_after_argparse_rejection(tmp_path, capsys):
+    p = write_graph(tmp_path, build_corpus()["a2"])
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["classify", "--input", p, "--field", "fp:10003"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["dims", "--input", p, "--bound", "many"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, out, err = run_main(capsys, ["dims", "--input", p, "--bound", "3"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["all_equal"] is True
+
+
+def test_parser_built_once_per_process(tmp_path, capsys):
+    p = write_graph(tmp_path, build_corpus()["a2"])
+    parser = cli.build_parser()
+    before = cli.build_parser.cache_info()
+    for command in ("classify", "decompose", "type-witness"):
+        assert run_main(capsys, [command, "--input", p])[0] == 0
+    after = cli.build_parser.cache_info()
+    assert after.misses == before.misses == 1
+    assert after.hits == before.hits + 3
+    assert cli.build_parser() is parser

@@ -22,6 +22,7 @@ from leavitt import (
     decompose,
     dim_series_check,
 )
+from leavitt import Monomial, paths_up_to
 from leavitt import graph as graph_module
 from leavitt.graph import (
     Cycle,
@@ -179,6 +180,45 @@ def test_unbounded_walks_match_recursive(g):
         assert paths_into(g, v) == recursive_paths_ending_at(g, v, None)
     for c in g.no_exit_cycles:
         assert paths_into_cycle(g, c) == recursive_paths_ending_at(g, c.base, None, c.path.edges)
+
+
+# -- graded bases cut from one path enumeration ----------------------------------
+
+
+def basis_from_fresh_paths(algebra, degree, cap):
+    """The admissible monomials of one degree built from their own
+    `paths_up_to(cap)`, one enumeration per cap."""
+    by_end_len = {}
+    for p in paths_up_to(algebra.graph, cap):
+        by_end_len.setdefault((p.end, len(p.edges)), []).append(p)
+    out = []
+    for (end, lp), ps in by_end_len.items():
+        for p in ps:
+            for q in by_end_len.get((end, lp - degree), ()):
+                if algebra.is_admissible(Monomial(p, q)):
+                    out.append(Monomial(p, q))
+    return tuple(sorted(out, key=Monomial.sort_key))
+
+
+@hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@hypothesis.given(
+    no_exit_multigraphs(),
+    st.lists(
+        st.tuples(st.integers(-3, 3), st.none() | st.integers(0, 6)), min_size=1, max_size=6
+    ),
+)
+def test_basis_cut_from_longest_enumeration(g, asks):
+    """Caps asked rising, falling and in drawn order give, tuple for
+    tuple, the basis built from a fresh enumeration at that cap."""
+    def cap(ask):
+        degree, bound = ask
+        return 2 * len(g.vertices) + abs(degree) if bound is None else bound
+
+    for order in (sorted(asks, key=cap), sorted(asks, key=cap, reverse=True), asks):
+        algebra = LeavittAlgebra(g)
+        for degree, bound in order:
+            expected = basis_from_fresh_paths(algebra, degree, cap((degree, bound)))
+            assert algebra.basis_monomials(degree, bound) == expected
 
 
 # -- the hot path never enumerates cycles ------------------------------------------

@@ -625,3 +625,24 @@ def test_inner_inverse_work_count_edge_images(monkeypatch):
     edges += [(f"c{i}", us[30 + i], us[30 + (i + 1) % 5]) for i in range(5)]
     fed = Graph(us, edges)
     assert _inner_inverse_mul_counts(monkeypatch, fed, Q, LaurentRing) == {2}
+
+
+def test_identity_diagonal_form_skips_divisibility(monkeypatch):
+    """Deterministic work gate: the identity of a 100-vertex cycle maps to
+    the identity matrix (one block, n = 100); every pivot is a unit, so
+    the diagonal form never tests divisibility.  Scanning the trailing
+    submatrix after each pivot made 328350 `divides` calls."""
+    vs = [f"v{i}" for i in range(100)]
+    g = Graph(vs, [(f"e{i}", vs[i], vs[(i + 1) % 100]) for i in range(100)])
+    rep = decompose(LeavittAlgebra(g))
+    images = phi(rep)
+    calls = [0]
+    divides = LaurentRing.divides
+
+    def counting_divides(self, d, a):
+        calls[0] += 1
+        return divides(self, d, a)
+
+    monkeypatch.setattr(LaurentRing, "divides", counting_divides)
+    report = regularity_witness_report(images, rep.algebra.identity())
+    assert report["aba_equals_a"] and calls[0] == 0

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from leavitt import LaurentRing, PrimeField, Rationals, smith_normal_form
+from leavitt import LaurentRing, PrimeField, Rationals, scalar, smith_normal_form
 
 
 def test_rationals_basics():
@@ -327,3 +327,154 @@ def test_snf_random_properties():
             # U, V invertible: determinants are units
             assert R.is_unit(_det(u, R))
             assert R.is_unit(_det(v, R))
+
+
+# -- the diagonal form against its earlier implementation ---------------------
+
+
+def _smith_normal_form_before(m, ring):
+    """The routine as it was before pivots of width 0 stopped the pivot
+    scan and unit pivots skipped the divisibility scan (verbatim), kept
+    as the oracle for those two shortcuts."""
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    a = [[m[i][j] for j in range(cols)] for i in range(rows)]
+    u = scalar._identity(ring, rows)
+    v = scalar._identity(ring, cols)
+
+    def row_sub(i, j, q):
+        # row_i -= q * row_j
+        for k in range(cols):
+            a[i][k] = a[i][k] - q * a[j][k]
+        for k in range(rows):
+            u[i][k] = u[i][k] - q * u[j][k]
+
+    def col_sub(i, j, q):
+        # col_i -= q * col_j
+        for k in range(rows):
+            a[k][i] = a[k][i] - q * a[k][j]
+        for k in range(cols):
+            v[k][i] = v[k][i] - q * v[k][j]
+
+    def row_add(i, j):
+        for k in range(cols):
+            a[i][k] = a[i][k] + a[j][k]
+        for k in range(rows):
+            u[i][k] = u[i][k] + u[j][k]
+
+    def swap_rows(i, j):
+        if i != j:
+            a[i], a[j] = a[j], a[i]
+            u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        if i != j:
+            for k in range(rows):
+                a[k][i], a[k][j] = a[k][j], a[k][i]
+            for k in range(cols):
+                v[k][i], v[k][j] = v[k][j], v[k][i]
+
+    def pick_pivot(s):
+        best = None
+        for i in range(s, rows):
+            for j in range(s, cols):
+                if not ring.is_zero(a[i][j]):
+                    w = ring.width(a[i][j])
+                    if best is None or w < best[0]:
+                        best = (w, i, j)
+        return best
+
+    s = 0
+    while s < min(rows, cols):
+        found = pick_pivot(s)
+        if found is None:
+            break
+        _, pi, pj = found
+        swap_rows(s, pi)
+        swap_cols(s, pj)
+
+        while True:
+            # clear the pivot column; a nonzero remainder becomes the new,
+            # strictly smaller pivot, so this loop terminates
+            dirty = False
+            for i in range(s + 1, rows):
+                if ring.is_zero(a[i][s]):
+                    continue
+                q, r = ring.divmod(a[i][s], a[s][s])
+                row_sub(i, s, q)
+                if not ring.is_zero(r):
+                    swap_rows(s, i)
+                    dirty = True
+                    break
+            if dirty:
+                continue
+            for j in range(s + 1, cols):
+                if ring.is_zero(a[s][j]):
+                    continue
+                q, r = ring.divmod(a[s][j], a[s][s])
+                col_sub(j, s, q)
+                if not ring.is_zero(r):
+                    swap_cols(s, j)
+                    dirty = True
+                    break
+            if dirty:
+                continue
+            # pivot row and column clean; enforce divisibility of the rest
+            culprit = None
+            for i in range(s + 1, rows):
+                for j in range(s + 1, cols):
+                    if not ring.divides(a[s][s], a[i][j]):
+                        culprit = i
+                        break
+                if culprit is not None:
+                    break
+            if culprit is None:
+                break
+            row_add(s, culprit)
+        s += 1
+
+    return u, a, v
+
+
+def _random_laurent_matrix(rng, ring, rows, cols):
+    field, step = ring.field, ring.step
+    def entry():
+        kind = rng.random()
+        if kind < 0.3:
+            return ring.zero()
+        if kind < 0.6:  # a unit c x^(k step)
+            return ring.monomial(field.from_int(rng.randint(1, 4)), step * rng.randint(-2, 2))
+        return ring.from_terms(
+            {
+                step * e: field.from_int(rng.randint(-3, 3))
+                for e in rng.sample(range(-2, 3), rng.randint(1, 3))
+            }
+        )
+    return [[entry() for _ in range(cols)] for _ in range(rows)]
+
+
+def _binomial(rng, ring):
+    """c0 + c1 x^(k step) with k >= 1: a non-unit."""
+    field = ring.field
+    return ring.from_terms(
+        {0: field.from_int(rng.randint(1, 2)), ring.step * rng.randint(1, 2): field.one()}
+    )
+
+
+def test_snf_matches_before_shortcuts():
+    """Same U, D and V, entry for entry, as the routine without the
+    width-0 pivot stop and the unit-pivot divisibility skip."""
+    rng = random.Random(8)
+    rings = [LaurentRing(Rationals(), 1), LaurentRing(Rationals(), 2), LaurentRing(PrimeField(3), 1)]
+    for trial in range(300):
+        ring = rings[trial % len(rings)]
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        mat = _random_laurent_matrix(rng, ring, rows, cols)
+        if trial % 10 == 0:  # unit diagonals: the skip taken at every pivot
+            mat = [[ring.one() if i == j else x for j, x in enumerate(row)]
+                   for i, row in enumerate(mat)]
+        if trial % 10 == 5:  # non-unit diagonals: the divisibility repair runs
+            mat = [[_binomial(rng, ring) if i == j else ring.zero() for j in range(cols)]
+                   for i in range(rows)]
+        expect = _smith_normal_form_before([row[:] for row in mat], ring)
+        assert smith_normal_form([row[:] for row in mat], ring) == expect
