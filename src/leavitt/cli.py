@@ -8,9 +8,10 @@ Exit codes: 0 success; 1 malformed input (nothing on stdout), which
 includes a graph with no vertices, an element coefficient the field
 cannot parse and an inhomogeneous --element to regular-witness; 2 the
 graph has a cycle with an exit where the command needs the no-exit
-condition; 3 an internal verification replay failed; 4 any other
-internal error (one ``error: internal: ...`` line on stderr, nothing on
-stdout).
+condition, or a usage error reported by argparse (an unknown option,
+--field fp:4, a negative --bound or --samples); 3 an internal
+verification replay failed; 4 any other internal error (one
+``error: internal: ...`` line on stderr, nothing on stdout).
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .regularity import (
 )
 from .scalar import PrimeField, Rationals
 from .structure import (
+    DecompositionReport,
     ExitConditionError,
     VerificationError,
     classify,
@@ -54,10 +56,26 @@ def _field_arg(text: str):
     raise argparse.ArgumentTypeError("field must be 'q' or 'fp:P' for a prime P")
 
 
+def _count_arg(text: str) -> int:
+    """A non-negative integer option; a non-integer gets argparse's own
+    `invalid int value` message."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {n}")
+    return n
+
+
 def _load_graph(args) -> Graph:
     with open(args.input, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     return Graph.from_json_dict(data)
+
+
+def _load_report(args) -> DecompositionReport:
+    return decompose(LeavittAlgebra(_load_graph(args), args.field))
 
 
 def _load_element(algebra: LeavittAlgebra, path: str):
@@ -168,15 +186,13 @@ def _block_lines(report):
 
 
 def cmd_decompose(args) -> int:
-    g = _load_graph(args)
-    report = decompose(LeavittAlgebra(g, args.field))
+    report = _load_report(args)
     _emit(args, report.to_json(), _block_lines(report))
     return 0
 
 
 def cmd_dims(args) -> int:
-    g = _load_graph(args)
-    report = decompose(LeavittAlgebra(g, args.field))
+    report = _load_report(args)
     series = dim_series_check(report, args.bound)
     lines = [
         f"n={n:+d}  algebra={a}  blocks={b}  {'ok' if a == b else 'MISMATCH'}"
@@ -205,8 +221,7 @@ def _corrupt(images):
 
 
 def cmd_verify_iso(args) -> int:
-    g = _load_graph(args)
-    report = decompose(LeavittAlgebra(g, args.field))
+    report = _load_report(args)
     images = phi(report)
     if args.corrupt:
         _corrupt(images)
@@ -220,8 +235,7 @@ def cmd_verify_iso(args) -> int:
 
 
 def cmd_regular_witness(args) -> int:
-    g = _load_graph(args)
-    report = decompose(LeavittAlgebra(g, args.field))
+    report = _load_report(args)
     images = phi(report)
     rng = random.Random(args.seed)
     witnesses = []
@@ -248,8 +262,7 @@ def cmd_regular_witness(args) -> int:
 
 
 def cmd_idempotent_report(args) -> int:
-    g = _load_graph(args)
-    report = decompose(LeavittAlgebra(g, args.field))
+    report = _load_report(args)
     images = phi(report)
     e = _load_element(report.algebra, args.element)
     rep = idempotent_report(images, e)
@@ -260,8 +273,7 @@ def cmd_idempotent_report(args) -> int:
 
 
 def cmd_type_witness(args) -> int:
-    g = _load_graph(args)
-    report = decompose(LeavittAlgebra(g, args.field))
+    report = _load_report(args)
     images = phi(report)
     e = type_I_witness(report)
     rep = idempotent_report(images, e)
@@ -311,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dims", help="graded dimension series, algebra vs blocks")
     common(p)
-    p.add_argument("--bound", type=int, default=10, help="degree bound (default 10)")
+    p.add_argument("--bound", type=_count_arg, default=10, help="degree bound (default 10)")
 
     p = sub.add_parser("verify-iso", help="replay every relation on the block images")
     common(p)
@@ -324,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("regular-witness", help="inner inverse transcripts a b a = a")
     common(p, element=True)
     p.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
-    p.add_argument("--samples", type=int, default=1, help="sample count (default 1)")
+    p.add_argument("--samples", type=_count_arg, default=1, help="sample count (default 1)")
 
     p = sub.add_parser("idempotent-report", help="classify an idempotent element")
     common(p, element=True, element_required=True)

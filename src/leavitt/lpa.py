@@ -87,7 +87,7 @@ class LeavittAlgebra:
     def __init__(self, graph: Graph, field=None):
         self.graph = graph
         self.field = field if field is not None else Rationals()
-        self.special = special_edges(graph)
+        self.special = frozenset(special_edges(graph).values())
         # paths_up_to(graph, cap) for the largest cap asked so far; it is
         # sorted by length first, so a smaller cap's paths are a prefix
         self._paths: tuple = ()
@@ -141,10 +141,8 @@ class LeavittAlgebra:
         distinguished edge of the shared source."""
         if not m.p.edges or not m.q.edges:
             return True
-        last_p, last_q = m.p.edges[-1], m.q.edges[-1]
-        if last_p != last_q:
-            return True
-        return self.special.get(self.graph.edge(last_p).src) != last_p
+        last_p = m.p.edges[-1]
+        return last_p != m.q.edges[-1] or last_p not in self.special
 
     def _reduce(self, raw: dict):
         """Rewrite until every surviving monomial is admissible.

@@ -11,29 +11,26 @@ blockwise, pulling back and projecting onto the single degree that can
 matter produces a graded inner inverse; `graded_inner_inverse` is that
 pipeline and the witness that the algebra is graded von Neumann regular.
 
-The graded central idempotents are exactly the block-selection sums
-(`bgr_enumerate` / `central_idempotent`), and a homogeneous idempotent
-is classified by the ranks of its block images: all ranks <= 1 means
-abelian, all ranks >= 1 means faithful.  Direct finiteness holds across
-the board here; `directly_finite` says so and the test suite probes it
-by brute force on bounded degrees.
+The graded central idempotents are exactly the block selections
+(`bgr_enumerate`); `central_idempotent` and `type_I_witness` build their
+elements as `pull_back` of one matrix per block.  A homogeneous
+idempotent is classified by the ranks of its block images: all ranks
+<= 1 means abelian, all ranks >= 1 means faithful.  The ranks are taken
+over K after setting x = 1, so no elimination runs over a Laurent ring.
+Direct finiteness holds across the board here; `directly_finite` says
+so and the test suite probes it by brute force on bounded degrees.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import reduce
 
 from .gmatrix import GradedMatrix, _add_into
 from .lpa import LpaElement
-from .scalar import LaurentRing, smith_normal_form
-from .structure import (
-    DecompositionReport,
-    GeneratorImages,
-    VerificationError,
-    phi_inverse_basis,
-    pull_back,
-)
+from .scalar import smith_normal_form
+from .structure import DecompositionReport, GeneratorImages, VerificationError, pull_back
 
 
 class NotRegularError(RuntimeError):
@@ -142,49 +139,32 @@ def inner_inverse(a: GradedMatrix) -> GradedMatrix:
     return inner_inverse_field(a)
 
 
-def laurent_rank(rows, ring: LaurentRing) -> int:
-    """Rank over the fraction field, by fraction-free elimination.
-
-    Cross-multiplication keeps everything inside the ring; only
-    nonzero-ness of entries matters, so the growth is harmless at these
-    sizes.
-    """
-    if not rows:
-        return 0
-    a = [list(r) for r in rows]
-    m, n = len(a), len(a[0])
-    rank = 0
-    row = 0
-    for col in range(n):
-        pick = None
-        for i in range(row, m):
-            if not ring.is_zero(a[i][col]):
-                pick = i
-                break
-        if pick is None:
-            continue
-        a[row], a[pick] = a[pick], a[row]
-        for i in range(row + 1, m):
-            if ring.is_zero(a[i][col]):
-                continue
-            p, q = a[row][col], a[i][col]
-            a[i] = [ring.sub(ring.mul(p, x), ring.mul(q, y)) for x, y in zip(a[i], a[row])]
-        rank += 1
-        row += 1
-        if row == m:
-            break
-    return rank
-
-
 def block_ranks(images: GeneratorImages, x: LpaElement):
-    """Rank of the image of x in each block (over the block's fraction field)."""
-    mats = images.apply(x)
+    """Rank of the image of x in each block, over the block's fraction field.
+
+    Each image is read with the Laurent variable set to 1 (an entry
+    becomes the sum of its coefficients) and ranked over K by
+    `field_rank`.  That is exact for a homogeneous image, which is its
+    scalar matrix conjugated by a diagonal of powers of the variable, and
+    for an idempotent one: over the PID K[x^t, x^(-t)] it is
+    P diag(1, ..., 1, 0, ..., 0) P^-1, and det P is a monomial, nonzero at
+    1.  An image that is neither raises ValueError.
+    """
+    field = images.report.algebra.field
     out = []
-    for block, mat in zip(images.report.blocks, mats):
-        if block.algebra.is_laurent:
-            out.append(laurent_rank(mat.entries, block.algebra.base))
-        else:
-            out.append(field_rank(mat.rows, block.algebra.base))
+    for block, mat in zip(images.report.blocks, images.apply(x)):
+        if mat.degree() is None and not mat.is_zero() and mat * mat != mat:
+            raise ValueError("block ranks need each block image homogeneous or idempotent")
+        terms = block.algebra.base.terms
+        rows = [
+            {
+                j: c
+                for j, y in row.items()
+                if not field.is_zero(c := reduce(field.add, terms(y).values()))
+            }
+            for row in mat.rows
+        ]
+        out.append(field_rank(rows, field))
     return tuple(out)
 
 
@@ -241,24 +221,25 @@ def bgr_enumerate(report: DecompositionReport):
 
 
 def central_idempotent(report: DecompositionReport, sel: BlockSelection) -> LpaElement:
-    """The algebra element selecting the given blocks: the sum, over each
-    selected block, of the preimages of its diagonal matrix units."""
-    acc = report.algebra.zero()
-    for bi, (block, keep) in enumerate(zip(report.blocks, sel.selected)):
-        if not keep:
-            continue
-        for k in range(block.n):
-            acc = acc + phi_inverse_basis(report, bi, k, k, 0)
-    return acc
+    """The algebra element selecting the given blocks: the preimage of the
+    identity in each selected block and of zero in the others.  A
+    selection of the wrong length raises ValueError."""
+    return pull_back(
+        report,
+        tuple(
+            b.algebra.identity() if keep else b.algebra.zero()
+            for b, keep in zip(report.blocks, sel.selected, strict=True)
+        ),
+    )
 
 
 def type_I_witness(report: DecompositionReport) -> LpaElement:
-    """The canonical faithful abelian idempotent: one diagonal corner per
-    block, i.e. the sum of all sink vertices and all cycle bases."""
-    acc = report.algebra.zero()
-    for bi in range(len(report.blocks)):
-        acc = acc + phi_inverse_basis(report, bi, 0, 0, 0)
-    return acc
+    """The canonical faithful abelian idempotent: the preimage of the
+    corner e_00 of every block, i.e. the sum of all sink vertices and all
+    cycle bases."""
+    return pull_back(
+        report, tuple(b.algebra.unit(0, 0, b.algebra.base.one()) for b in report.blocks)
+    )
 
 
 # ---------------------------------------------------------------------------

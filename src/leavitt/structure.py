@@ -307,7 +307,7 @@ class GeneratorImages:
         return tuple(out)
 
 
-def phi(algebra_or_report, field=None) -> GeneratorImages:
+def phi(report: DecompositionReport) -> GeneratorImages:
     """Build the generator images of the block isomorphism: `apply` on
     every vertex, edge and ghost.
 
@@ -321,10 +321,6 @@ def phi(algebra_or_report, field=None) -> GeneratorImages:
 
     Degrees come out right automatically: w t + len(q_i) - len(q_k) = 1.
     """
-    if isinstance(algebra_or_report, DecompositionReport):
-        report = algebra_or_report
-    else:
-        report = decompose(algebra_or_report, field)
     A = report.algebra
     g = report.graph
     images = GeneratorImages(report=report, vertices={}, edges={}, ghosts={})
@@ -498,11 +494,9 @@ def phi_inverse_basis(report: DecompositionReport, block_index: int, i: int, j: 
 
 def pull_back(report: DecompositionReport, mats) -> LpaElement:
     """Linear extension of `phi_inverse_basis` to a tuple of block matrices."""
-    algebra = report.algebra
-    field = algebra.field
     if len(mats) != len(report.blocks):
         raise ValueError(f"expected {len(report.blocks)} block matrices, got {len(mats)}")
-    raw: dict = {}
+    pairs = []
     for block, mat in zip(report.blocks, mats):
         if mat.algebra != block.algebra:
             raise ValueError("block matrix bound to the wrong graded algebra")
@@ -510,9 +504,8 @@ def pull_back(report: DecompositionReport, mats) -> LpaElement:
         for i, row in enumerate(mat.rows):
             for j in sorted(row):
                 for exp, c in terms(row[j]).items():
-                    m = block.preimage(i, j, exp // block.t)
-                    raw[m] = field.add(raw.get(m, field.zero()), c)
-    return algebra.normal_form(raw)
+                    pairs.append((block.preimage(i, j, exp // block.t), c))
+    return report.algebra.element(pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -540,13 +533,9 @@ class DimSeriesReport:
         }
 
 
-def dim_series_check(algebra_or_report, degree_bound: int = 10) -> DimSeriesReport:
+def dim_series_check(report: DecompositionReport, degree_bound: int = 10) -> DimSeriesReport:
     """Compare graded dimensions of the algebra and its block sum for
     every degree in [-degree_bound, degree_bound]."""
-    if isinstance(algebra_or_report, DecompositionReport):
-        report = algebra_or_report
-    else:
-        report = decompose(algebra_or_report)
     algebra = report.algebra
     rows = []
     for n in range(-degree_bound, degree_bound + 1):

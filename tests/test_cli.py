@@ -363,6 +363,33 @@ def test_valid_call_after_argparse_rejection(tmp_path, capsys):
     assert json.loads(out)["all_equal"] is True
 
 
+@pytest.mark.parametrize(
+    "command, option, value",
+    [("dims", "--bound", "-2"), ("regular-witness", "--samples", "-3")],
+)
+def test_negative_counts_are_usage_errors(tmp_path, capsys, command, option, value):
+    """A negative count used to run: dims over zero degrees reported
+    all_equal, regular-witness printed no witness; both exited 0."""
+    p = write_graph(tmp_path, build_corpus()["loop"])
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--input", p, option, value])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"argument {option}: must be a non-negative integer, got {value}" in err
+    # a non-integer keeps argparse's own message
+    with pytest.raises(SystemExit):
+        cli.main([command, "--input", p, option, "many"])
+    assert f"argument {option}: invalid int value: 'many'" in capsys.readouterr().err
+    # zero is a count too
+    code, out, err = run_main(capsys, [command, "--input", p, option, "0"])
+    assert (code, err) == (0, "")
+    key, want = ("rows", [{"degree": 0, "lpa_dim": 1, "block_dim": 1, "equal": True}])
+    if command == "regular-witness":
+        key, want = "witnesses", []
+    assert json.loads(out)[key] == want
+
+
 def test_parser_built_once_per_process(tmp_path, capsys):
     p = write_graph(tmp_path, build_corpus()["a2"])
     parser = cli.build_parser()

@@ -8,6 +8,7 @@ import pytest
 
 from corpus import build_corpus
 from leavitt import (
+    BlockSelection,
     Graph,
     GradedMatrixAlgebra,
     LaurentRing,
@@ -26,6 +27,8 @@ from leavitt import (
     inner_inverse_laurent,
     no_exit_condition,
     phi,
+    phi_inverse_basis,
+    pull_back,
     sample_homogeneous,
     smith_normal_form,
     type_I_witness,
@@ -552,15 +555,13 @@ def test_oracle_comparison_catches_mutants(monkeypatch, owner, name, mutant):
     assert mismatches(cases, expected) > 0
 
 
-def test_witness_report_matches_oracle_route_on_random_graphs():
-    """regular-witness transcripts on random no-exit multigraphs, over Q and
-    F_3, are the ones the dense oracle route gives, term for term."""
-    hypothesis = pytest.importorskip("hypothesis")
-    st = hypothesis.strategies
+def no_exit_graphs(st):
+    """Random no-exit multigraphs on up to five vertices: edges are drawn
+    and each is kept only when the graph stays without exits."""
     labels = ("v2", "v10", "a", "z", "m1")
 
     @st.composite
-    def no_exit_graphs(draw):
+    def graphs(draw):
         vs = draw(st.permutations(labels))[: draw(st.integers(1, len(labels)))]
         ends = draw(st.lists(st.tuples(st.sampled_from(vs), st.sampled_from(vs)), max_size=8))
         keep = []
@@ -569,9 +570,18 @@ def test_witness_report_matches_oracle_route_on_random_graphs():
                 keep.append((f"e{k}", s, d))
         return Graph(vs, keep)
 
+    return graphs()
+
+
+def test_witness_report_matches_oracle_route_on_random_graphs():
+    """regular-witness transcripts on random no-exit multigraphs, over Q and
+    F_3, are the ones the dense oracle route gives, term for term."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
     @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @hypothesis.given(
-        no_exit_graphs(), st.sampled_from((Q, PrimeField(3))), st.integers(0, 2**32 - 1)
+        no_exit_graphs(st), st.sampled_from((Q, PrimeField(3))), st.integers(0, 2**32 - 1)
     )
     def check(g, field, seed):
         images = phi(decompose(LeavittAlgebra(g, field)))
@@ -646,3 +656,201 @@ def test_identity_diagonal_form_skips_divisibility(monkeypatch):
     monkeypatch.setattr(LaurentRing, "divides", counting_divides)
     report = regularity_witness_report(images, rep.algebra.identity())
     assert report["aba_equals_a"] and calls[0] == 0
+
+
+# -- block ranks at x = 1, against fraction-free elimination ----------------------
+
+
+def oracle_laurent_rank(rows, ring):
+    """The deleted `regularity.laurent_rank`, verbatim: rank over the
+    fraction field by fraction-free elimination.
+
+    Cross-multiplication keeps everything inside the ring; only
+    nonzero-ness of entries matters, so the growth is harmless at these
+    sizes.
+    """
+    if not rows:
+        return 0
+    a = [list(r) for r in rows]
+    m, n = len(a), len(a[0])
+    rank = 0
+    row = 0
+    for col in range(n):
+        pick = None
+        for i in range(row, m):
+            if not ring.is_zero(a[i][col]):
+                pick = i
+                break
+        if pick is None:
+            continue
+        a[row], a[pick] = a[pick], a[row]
+        for i in range(row + 1, m):
+            if ring.is_zero(a[i][col]):
+                continue
+            p, q = a[row][col], a[i][col]
+            a[i] = [ring.sub(ring.mul(p, x), ring.mul(q, y)) for x, y in zip(a[i], a[row])]
+        rank += 1
+        row += 1
+        if row == m:
+            break
+    return rank
+
+
+def _sink_and_fed_cycle(n, t, s):
+    """A t-cycle fed by a tail of n - t edges, next to a line of s vertices
+    into a sink: blocks M_s(K) and M_n(K[x^t, x^-t])."""
+    tail = [f"u{i}" for i in range(n - t)] + [f"c{i}" for i in range(t)]
+    line = [f"s{i}" for i in range(s)]
+    edges = [(f"h{i}", tail[i], tail[i + 1]) for i in range(n - t)]
+    edges += [(f"k{i}", f"c{i}", f"c{(i + 1) % t}") for i in range(t)]
+    edges += [(f"l{i}", line[i], line[i + 1]) for i in range(s - 1)]
+    return Graph(tail + line, edges)
+
+
+def _random_homogeneous_matrix(rng, M):
+    """A random homogeneous matrix of M: one random degree, each entry
+    the base monomial that degree forces, kept with probability 1/2."""
+    base, n = M.base, M.n
+    field = base.field if M.is_laurent else base
+    m = rng.randint(-3, 3)
+    units = []
+    for i in range(n):
+        for j in range(n):
+            e = m + M.shifts[j] - M.shifts[i]
+            if base.has_component(e) and rng.random() < 0.5:
+                units.append((i, j, base.monomial(field.from_int(rng.randint(1, 6)), e)))
+    return M.sum_of_units(units)
+
+
+def _random_idempotent(rng, M):
+    """P D P^-1 with D a random 0/1 diagonal and P a product of
+    elementary matrices I + c x^(kt) e_ij (i != j) and diagonal units."""
+    base, n = M.base, M.n
+    field = base.field if M.is_laurent else base
+    step = base.step if M.is_laurent else 0
+    invert = base.unit_inverse if M.is_laurent else base.invert
+    p, p_inv = M.identity(), M.identity()
+    for _ in range(rng.randint(0, 8)):
+        c = field.from_int(rng.randint(1, 6))
+        if field.is_zero(c):
+            continue
+        x = base.monomial(c, step * rng.randint(-2, 2))
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i == j:
+            rest = [(k, k, base.one()) for k in range(n) if k != i]
+            f = M.sum_of_units(rest + [(i, i, x)])
+            f_inv = M.sum_of_units(rest + [(i, i, invert(x))])
+        else:
+            f = M.identity() + M.unit(i, j, x)
+            f_inv = M.identity() - M.unit(i, j, x)
+        p, p_inv = p * f, f_inv * p_inv
+    d = M.sum_of_units([(k, k, base.one()) for k in range(n) if rng.random() < 0.5])
+    e = p * d * p_inv
+    assert e * e == e
+    return e
+
+
+def test_block_ranks_match_fraction_free_oracle():
+    """Setting the Laurent variable to 1 and ranking over K gives the rank
+    over the fraction field, on homogeneous matrices (and products of two
+    of them) and on P D P^-1 idempotents, over Q, F_3 and F_7."""
+    rng = random.Random(31)
+    kinds = {"homogeneous": 0, "idempotent": 0}
+    proper = 0  # Laurent block images of rank strictly between 0 and n
+    inhomogeneous = 0  # Laurent block idempotents that are not homogeneous
+    for field in (Q, PrimeField(3), PrimeField(7)):
+        for t in (1, 2, 3):
+            for n in range(t, 6):
+                g = _sink_and_fed_cycle(n, t, rng.randint(1, 3))
+                rep = decompose(LeavittAlgebra(g, field))
+                images = phi(rep)
+                algebras = [b.algebra for b in rep.blocks]
+                for trial in range(8):
+                    if trial % 2:
+                        mats = tuple(_random_idempotent(rng, M) for M in algebras)
+                        kinds["idempotent"] += 1
+                    else:
+                        mats = tuple(
+                            _random_homogeneous_matrix(rng, M) * _random_homogeneous_matrix(rng, M)
+                            if trial % 4 else _random_homogeneous_matrix(rng, M)
+                            for M in algebras
+                        )
+                        kinds["homogeneous"] += 1
+                    x = pull_back(rep, mats)
+                    assert images.apply(x) == mats
+                    want = tuple(oracle_laurent_rank(m.entries, m.algebra.base) for m in mats)
+                    assert block_ranks(images, x) == want, (field, t, n, mats)
+                    proper += 0 < want[-1] < n
+                    inhomogeneous += mats[-1].degree() is None and not mats[-1].is_zero()
+    assert kinds == {"homogeneous": 144, "idempotent": 144}
+    assert proper > 100 and inhomogeneous > 40
+
+
+def test_block_ranks_reject_image_neither_homogeneous_nor_idempotent():
+    rep, im = setup("loop")
+    A = rep.algebra
+    x = A.vertex("v1") - A.edge("c")  # image 1 - x
+    with pytest.raises(ValueError, match="homogeneous or idempotent"):
+        block_ranks(im, x)
+    assert block_ranks(im, A.edge("c")) == (1,)
+    # 1 - x^2 is neither homogeneous nor idempotent either
+    with pytest.raises(ValueError):
+        block_ranks(im, A.vertex("v1") - A.edge("c") * A.edge("c"))
+
+
+# -- central idempotents and the type I witness through pull_back ------------------
+
+
+def oracle_central_idempotent(report, sel):
+    """The per-unit loop `central_idempotent` used before it went through
+    `pull_back`: the sum of the preimages of the selected diagonal units."""
+    acc = report.algebra.zero()
+    for bi, (block, keep) in enumerate(zip(report.blocks, sel.selected)):
+        if not keep:
+            continue
+        for k in range(block.n):
+            acc = acc + phi_inverse_basis(report, bi, k, k, 0)
+    return acc
+
+
+def oracle_type_I_witness(report):
+    acc = report.algebra.zero()
+    for bi in range(len(report.blocks)):
+        acc = acc + phi_inverse_basis(report, bi, 0, 0, 0)
+    return acc
+
+
+def _assert_idempotents_match_oracle(rep):
+    assert type_I_witness(rep) == oracle_type_I_witness(rep)
+    for sel in bgr_enumerate(rep):
+        assert central_idempotent(rep, sel) == oracle_central_idempotent(rep, sel), sel
+
+
+def test_idempotents_match_per_unit_loops_on_corpus():
+    for name, g in build_corpus().items():
+        for field in (Q, PrimeField(3)):
+            _assert_idempotents_match_oracle(decompose(LeavittAlgebra(g, field)))
+
+
+def test_idempotents_match_per_unit_loops_on_random_graphs():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(no_exit_graphs(st), st.sampled_from((Q, PrimeField(3))))
+    def check(g, field):
+        _assert_idempotents_match_oracle(decompose(LeavittAlgebra(g, field)))
+
+    check()
+
+
+def test_central_idempotent_rejects_wrong_length_selection():
+    rep, _ = setup("fedcycle")  # one block
+    for bits in ((), (True, False)):
+        with pytest.raises(ValueError):
+            central_idempotent(rep, BlockSelection(bits))
+    rep, _ = setup("sink_loop")  # two blocks
+    for bits in ((True,), (True, True, True)):
+        with pytest.raises(ValueError):
+            central_idempotent(rep, BlockSelection(bits))
+    assert central_idempotent(rep, BlockSelection((True, True))) == rep.algebra.identity()
