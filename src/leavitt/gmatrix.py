@@ -8,7 +8,8 @@ base component of degree m + d_j - d_i.  Equivalently the matrix unit
 e_ij(x) is homogeneous of degree deg(x) + d_i - d_j.
 
 ``hom_component_dim`` counts a basis of one homogeneous component: one
-generator per entry position the base ring can populate in that degree.
+generator per entry position the base ring can populate in that degree,
+counted per pair of shift values rather than per position.
 
 A matrix stores only its nonzero entries, one dict per row, so products,
 sums, comparisons and the grading tests cost O(nonzeros) rather than
@@ -18,6 +19,9 @@ dense view built on demand for the routines that work on a full grid.
 """
 
 from __future__ import annotations
+
+from collections import Counter
+from functools import cached_property
 
 from .scalar import LaurentRing
 
@@ -47,6 +51,11 @@ class GradedMatrixAlgebra:
     @property
     def n(self) -> int:
         return len(self.shifts)
+
+    @cached_property
+    def _shift_counts(self) -> tuple:
+        """(shift, multiplicity) pairs, counted on the first dimension query."""
+        return tuple(Counter(self.shifts).items())
 
     @property
     def is_laurent(self) -> bool:
@@ -97,16 +106,16 @@ class GradedMatrixAlgebra:
     def hom_component_dim(self, m: int) -> int:
         """Dimension over the ground field of the degree-m component.
 
-        One basis unit per position (i, j) whose required base degree is
-        realized in the base ring: always for degree 0 over a field, for
-        multiples of the step over a Laurent ring.
+        One basis unit per position (i, j) whose required base degree
+        m + d_j - d_i is realized in the base ring: always for degree 0
+        over a field, for multiples of the step over a Laurent ring.  That
+        degree depends only on the two shifts, so with c_s rows of shift s
+        the count is the sum of c_s * c_s' over the ordered pairs (s, s')
+        of shift values whose degree m + s' - s is realized.
         """
-        count = 0
-        for i in range(self.n):
-            for j in range(self.n):
-                if self.base.has_component(m + self.shifts[j] - self.shifts[i]):
-                    count += 1
-        return count
+        has = self.base.has_component
+        counts = self._shift_counts
+        return sum(ci * cj for si, ci in counts for sj, cj in counts if has(m + sj - si))
 
     # -- io ---------------------------------------------------------------------
 

@@ -88,10 +88,15 @@ class LeavittAlgebra:
         self.graph = graph
         self.field = field if field is not None else Rationals()
         self.special = frozenset(special_edges(graph).values())
-        # paths_up_to(graph, cap) for the largest cap asked so far; it is
-        # sorted by length first, so a smaller cap's paths are a prefix
-        self._paths: tuple = ()
-        self._paths_cap = -1
+        # paths_up_to(graph, cap) for the largest cap asked so far, split
+        # by length and by (end, length); _by_len[l] holds (p, (end of p,
+        # last edge of p if distinguished else None)) in sorted order, and
+        # a smaller cap reads the lengths up to it
+        self._by_len: list = []
+        self._by_end_len: dict = {}
+        # len q -> {(end, distinguished edge or None): the qs of that end
+        # and length not ending in that edge, sorted}
+        self._partners: dict = {}
         self._basis_cache: dict = {}
 
     # -- element construction -------------------------------------------
@@ -223,6 +228,15 @@ class LeavittAlgebra:
         2 * (number of vertices) + |degree| then provably captures every
         admissible pair.  With `length_bound`, both paths are capped at
         that length instead (truncated count).
+
+        The pairs are generated, not filtered: p q* is admissible unless
+        p and q end in the same distinguished edge, so the partners of p
+        are the paths of its range and length len(p) - degree minus those
+        ending in p's last edge when that edge is distinguished, one cached
+        list per (range, length, distinguished edge).  Walking p and each
+        partner list in `Path.sort_key` order yields the monomials in
+        `Monomial.sort_key` order, so the cost is the paths of the lengths
+        involved plus the basis size, with no admissibility test.
         """
         if length_bound is None:
             if not no_exit_condition(self.graph):
@@ -236,28 +250,35 @@ class LeavittAlgebra:
         cached = self._basis_cache.get((degree, cap))
         if cached is not None:
             return cached
-        if cap > self._paths_cap:
-            self._paths = paths_up_to(self.graph, cap)
-            self._paths_cap = cap
-        by_end_len: dict = {}
-        for p in self._paths:
-            if len(p.edges) > cap:
-                break
-            by_end_len.setdefault((p.end, len(p.edges)), []).append(p)
+        if cap >= len(self._by_len):
+            self._index_paths(cap)
         out = []
-        for (end, lp), ps in by_end_len.items():
-            qs = by_end_len.get((end, lp - degree))
-            if not qs:
-                continue
-            for p in ps:
-                for q in qs:
-                    m = Monomial(p, q)
-                    if self.is_admissible(m):
-                        out.append(m)
-        out.sort(key=Monomial.sort_key)
+        for lp in range(max(0, degree), min(cap, cap + degree) + 1):
+            lq = lp - degree
+            partners = self._partners.setdefault(lq, {})
+            for p, cls in self._by_len[lp]:
+                qs = partners.get(cls)
+                if qs is None:
+                    end, last = cls
+                    qs = partners[cls] = tuple(
+                        q for q in self._by_end_len.get((end, lq), ()) if last not in q.edges[-1:]
+                    )
+                if qs:
+                    out.extend([Monomial(p, q) for q in qs])
         result = tuple(out)
         self._basis_cache[(degree, cap)] = result
         return result
+
+    def _index_paths(self, cap: int):
+        """Enumerate the paths of length <= cap once and group them."""
+        self._by_len = [[] for _ in range(cap + 1)]
+        self._by_end_len = {}
+        self._partners = {}
+        for p in paths_up_to(self.graph, cap):
+            last = p.edges[-1] if p.edges else None
+            cls = (p.end, last if last in self.special else None)
+            self._by_len[len(p.edges)].append((p, cls))
+            self._by_end_len.setdefault((p.end, len(p.edges)), []).append(p)
 
     def graded_dim(self, degree: int, length_bound=None) -> int:
         return len(self.basis_monomials(degree, length_bound))

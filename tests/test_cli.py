@@ -1,5 +1,6 @@
 """End-to-end command line checks: exit codes, output shapes, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -400,3 +401,31 @@ def test_parser_built_once_per_process(tmp_path, capsys):
     assert after.misses == before.misses == 1
     assert after.hits == before.hits + 3
     assert cli.build_parser() is parser
+
+
+# sha256 of stdout, recorded before graded bases were built from admissible
+# pairs directly; `regular-witness` samples its elements from
+# `basis_monomials`, so these pin the basis order at the CLI boundary
+FROZEN_STDOUT = {
+    ("cyc2", "dims"): "6a6dfa24acf7eb896f60be477b22c9d6937b86ab10b320d203307ea20c61fcc0",
+    ("fedcycle", "dims"): "109b2dcf16441c69975a66d4ac07ea5e01bebccc83468780ef992258aa0fbcd0",
+    ("tree", "dims"): "3895eebad168361db4a7d030869f053fe21d1f0615f17992a983c1c3557154e2",
+    ("cyc2", "regular-witness", "q"): "95b66b5f8c517ef3d8e8e749a89ebf57cb88ee9f3db1df80bcf3f5ae5d2d620b",
+    ("cyc2", "regular-witness", "fp:5"): "1bb813e9d80466687d04b9a2fce25695c26b88acd8cc7742e5fc548f05e0a966",
+    ("fedcycle", "regular-witness", "q"): "708e09c7e994521fdee859018ea409346848c539598205bace2aa41efab4bbf1",
+    ("fedcycle", "regular-witness", "fp:5"): "08ef8cb8f3b8d2ed0ae5e2e298536c52cde2e8ef1d3657f12a5583048bbf5c4f",
+    ("tree", "regular-witness", "q"): "2bd340d8ada5bc8e02aaa0da5903af96c7d2e46924a2a30c263f838cba1287e3",
+    ("tree", "regular-witness", "fp:5"): "592f9c223a8ef18b141bb9b40b05f75dd964ca682cfa84f6a7c6ff94d152f998",
+}
+
+
+@pytest.mark.parametrize("field", ["q", "fp:5"])
+@pytest.mark.parametrize("name", ["cyc2", "fedcycle", "tree"])
+def test_frozen_dims_and_witness_stdout(tmp_path, capsys, name, field):
+    """`dims` prints no coefficient, so its digest is the same over both fields."""
+    p = write_graph(tmp_path, build_corpus()[name])
+    for argv in (["dims", "--bound", "10"], ["regular-witness", "--seed", "7", "--samples", "4"]):
+        code, out, err = run_main(capsys, argv + ["--input", p, "--field", field])
+        assert (code, err) == (0, "")
+        key = (name, argv[0]) if argv[0] == "dims" else (name, argv[0], field)
+        assert hashlib.sha256(out.encode()).hexdigest() == FROZEN_STDOUT[key]

@@ -3,6 +3,8 @@
 import random
 from fractions import Fraction
 
+import hypothesis
+import hypothesis.strategies as st
 import pytest
 
 from leavitt import GradedMatrixAlgebra, LaurentRing, PrimeField, Rationals
@@ -116,6 +118,29 @@ def test_hom_component_dim_against_unit_enumeration():
         for k in window:
             # laurent exponent windows wide enough to catch every unit in range
             assert M.hom_component_dim(k) == counts[k], (shifts, k)
+
+
+def hom_component_dim_by_positions(M, m):
+    """The per-position double loop that counted components before the
+    shift multiplicities did."""
+    count = 0
+    for i in range(M.n):
+        for j in range(M.n):
+            if M.base.has_component(m + M.shifts[j] - M.shifts[i]):
+                count += 1
+    return count
+
+
+@hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@hypothesis.given(
+    st.lists(st.integers(-6, 6), min_size=1, max_size=12),
+    st.sampled_from([None, 1, 2, 3, 4]),
+)
+def test_hom_component_dim_equals_position_count(shifts, step):
+    """K and K[x^t, x^-t] for t = 1..4, every degree in -12..12."""
+    M = GradedMatrixAlgebra(Q if step is None else LaurentRing(Q, step), shifts)
+    for m in range(-12, 13):
+        assert M.hom_component_dim(m) == hom_component_dim_by_positions(M, m), (shifts, step, m)
 
 
 def test_star():

@@ -221,6 +221,61 @@ def test_basis_cut_from_longest_enumeration(g, asks):
             assert algebra.basis_monomials(degree, bound) == expected
 
 
+@st.composite
+def exit_multigraphs(draw):
+    """Graphs on up to 4 vertices with 1 to 3 out-edges at every vertex,
+    so nearly every cycle has an exit and every vertex has a distinguished
+    edge among several."""
+    vs = draw(st.permutations(LABELS))[: draw(st.integers(1, 4))]
+    edges = []
+    for v in vs:
+        for w in draw(st.lists(st.sampled_from(vs), min_size=1, max_size=3)):
+            edges.append((f"e{len(edges)}", v, w))
+    return Graph(vs, edges)
+
+
+def bounded_asks(degrees, bounds):
+    return st.lists(st.tuples(degrees, bounds), min_size=1, max_size=6)
+
+
+def check_bounded_orders(g, asks):
+    """`length_bound` asks in rising, falling and drawn order match the
+    all-pairs basis of a fresh enumeration, order included."""
+    by_bound = lambda ask: ask[1]
+    for order in (sorted(asks, key=by_bound), sorted(asks, key=by_bound, reverse=True), asks):
+        algebra = LeavittAlgebra(g)
+        for degree, bound in order:
+            expected = basis_from_fresh_paths(algebra, degree, bound)
+            assert algebra.basis_monomials(degree, bound) == expected, (degree, bound)
+
+
+@pytest.mark.parametrize("name", ["rose2", "K3"])
+@hypothesis.settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@hypothesis.given(asks=bounded_asks(st.integers(-5, 5), st.integers(0, 4)))
+def test_basis_cut_on_fixed_graphs_with_exits(name, asks):
+    g = build_negative()["rose2"] if name == "rose2" else complete(3)
+    check_bounded_orders(g, asks)
+
+
+@hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@hypothesis.given(exit_multigraphs(), bounded_asks(st.integers(-4, 4), st.integers(0, 4)))
+def test_basis_cut_on_random_graphs_with_exits(g, asks):
+    check_bounded_orders(g, asks)
+
+
+def test_basis_negative_bound_and_degree_beyond_cap():
+    for g in (build_negative()["rose2"], complete(3), build_corpus()["fedcycle"]):
+        fresh = LeavittAlgebra(g)
+        # nothing enumerated yet, then after an enumeration at cap 3
+        assert fresh.basis_monomials(0, -1) == fresh.basis_monomials(0, -5) == ()
+        assert fresh.basis_monomials(2, 3)
+        for degree in (-1, 0, 1):
+            assert fresh.basis_monomials(degree, -1) == ()
+        # |degree| > cap: no path pair has that length difference
+        assert fresh.basis_monomials(4, 3) == fresh.basis_monomials(-4, 3) == ()
+        assert fresh.basis_monomials(9, 2) == ()
+
+
 # -- the hot path never enumerates cycles ------------------------------------------
 
 

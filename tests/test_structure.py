@@ -5,6 +5,7 @@ import random
 import pytest
 
 from corpus import build_corpus, build_negative
+from leavitt import lpa as lpa_module
 from leavitt import (
     ExitConditionError,
     Graph,
@@ -386,6 +387,37 @@ def test_dim_series_all_corpus():
     for name, g in build_corpus().items():
         series = dim_series_check(decompose(LeavittAlgebra(g)), 10)
         assert series.all_equal, name
+
+
+def test_dim_series_work_count_fed_cycle(monkeypatch):
+    """Work gate for the brute-force basis side of `dims`: on a 3-cycle fed
+    by a 5-edge tail, degrees -10..10 enumerate the paths once per algebra
+    and generate the 448 admissible monomials with no admissibility test
+    (filtering every same-range pair made 6766 tests)."""
+    tail, cycle = [f"u{i}" for i in range(5)], ["c0", "c1", "c2"]
+    chain = tail + ["c0"]
+    edges = [(f"h{i}", chain[i], chain[i + 1]) for i in range(5)]
+    edges += [(f"k{i}", cycle[i], cycle[(i + 1) % 3]) for i in range(3)]
+    g = Graph(tail + cycle, edges)
+    reports = [decompose(LeavittAlgebra(g, field)) for field in (Rationals(), PrimeField(1000003))]
+    counts = {"is_admissible": 0, "paths_up_to": 0}
+    is_admissible, paths_up_to = LeavittAlgebra.is_admissible, lpa_module.paths_up_to
+
+    def counting_is_admissible(self, m):
+        counts["is_admissible"] += 1
+        return is_admissible(self, m)
+
+    def counting_paths_up_to(graph, cap):
+        counts["paths_up_to"] += 1
+        return paths_up_to(graph, cap)
+
+    monkeypatch.setattr(LeavittAlgebra, "is_admissible", counting_is_admissible)
+    monkeypatch.setattr(lpa_module, "paths_up_to", counting_paths_up_to)
+    for k, report in enumerate(reports, start=1):
+        series = dim_series_check(report, 10)
+        assert series.all_equal
+        assert sum(lhs for _, lhs, _ in series.rows) == 448
+        assert counts == {"is_admissible": 0, "paths_up_to": k}
 
 
 def test_dim_series_json():
