@@ -88,6 +88,10 @@ class LeavittAlgebra:
         self.graph = graph
         self.field = field if field is not None else Rationals()
         self.special = frozenset(special_edges(graph).values())
+        # distinguished edge g -> (its source, the other outgoing edges
+        # there as (id, range), in out-edge order), filled by `_reduce`
+        # for the edges it rewrites
+        self._siblings: dict = {}
         # paths_up_to(graph, cap) for the largest cap asked so far, split
         # by length and by (end, length); _by_len[l] holds (p, (end of p,
         # last edge of p if distinguished else None)) in sorted order, and
@@ -132,11 +136,13 @@ class LeavittAlgebra:
 
     def element(self, terms) -> "LpaElement":
         """Canonical element from an iterable of (Monomial, coeff) pairs."""
+        field = self.field
+        zero = field.zero()
         raw: dict = {}
         for m, c in terms:
             if m.p.end != m.q.end:
                 raise GraphError(f"path ranges differ: {m.p.end} != {m.q.end}")
-            raw[m] = self.field.add(raw.get(m, self.field.zero()), c)
+            raw[m] = field.add(raw.get(m, zero), c)
         return self.normal_form(raw)
 
     # -- the rewriting system ---------------------------------------------
@@ -165,49 +171,70 @@ class LeavittAlgebra:
         drained from the top, and each bucket is sorted once when it is
         reached; the cost is the rewrite steps times the out-degree plus
         one sort per length level, not one sort of all terms per step.
+
+        The rewriting runs on flat keys (len p, p.edges, p.base, len q,
+        q.edges, q.base, end): plain tuples, hashed and compared in C,
+        whose natural order is `Monomial.sort_key` order.  A `Monomial`
+        is built only for each surviving key that did not come from
+        `raw`; one that did keeps its input object.
         """
         field = self.field
-        g = self.graph
-        terms = {m: c for m, c in raw.items() if not field.is_zero(c)}
-        steps = 0
+        add, neg, is_zero = field.add, field.neg, field.is_zero
+        special, siblings = self.special, self._siblings
+        terms: dict = {}
+        given: dict = {}
         levels: dict = {}
-        for m in terms:
-            if not self.is_admissible(m):
-                levels.setdefault(len(m.p.edges), set()).add(m)
+        for m, c in raw.items():
+            if is_zero(c):
+                continue
+            p, q = m.p, m.q
+            pe, qe = p.edges, q.edges
+            k = (len(pe), pe, p.base, len(qe), qe, q.base, p.end)
+            terms[k] = c
+            given[k] = m
+            if pe and qe and pe[-1] == qe[-1] and pe[-1] in special:
+                levels.setdefault(len(pe), set()).add(k)
+        # put runs only when there is a step to make
+        zero = field.zero() if levels else None
 
-        def put(m, c):
-            acc = field.add(terms.get(m, field.zero()), c)
-            if field.is_zero(acc):
-                terms.pop(m, None)
+        def put(k, c):
+            acc = add(terms.get(k, zero), c)
+            if is_zero(acc):
+                terms.pop(k, None)
             else:
-                terms[m] = acc
+                terms[k] = acc
 
+        steps = 0
         for level in range(max(levels, default=0), 0, -1):
             # a monomial cancelled after it was queued stays in its bucket
-            for bad in sorted(levels.pop(level, ()), key=Monomial.sort_key, reverse=True):
-                if bad not in terms:
+            for bad in sorted(levels.pop(level, ()), reverse=True):
+                c = terms.pop(bad, None)
+                if c is None:
                     continue
-                c = terms.pop(bad)
-                eid = bad.p.edges[-1]
-                v = g.edge(eid).src
-                p0 = Path(bad.p.base, bad.p.edges[:-1], v)
-                q0 = Path(bad.q.base, bad.q.edges[:-1], v)
-                m0 = Monomial(p0, q0)
-                put(m0, c)
-                if not self.is_admissible(m0):
-                    levels.setdefault(level - 1, set()).add(m0)
-                for e in g.out_edges(v):
-                    if e.id == eid:
-                        continue
-                    put(
-                        Monomial(
-                            Path(p0.base, p0.edges + (e.id,), e.dst),
-                            Path(q0.base, q0.edges + (e.id,), e.dst),
-                        ),
-                        field.neg(c),
-                    )
+                lp, pe, pb, lq, qe, qb, _ = bad
+                g = pe[-1]
+                at = siblings.get(g)
+                if at is None:
+                    v = self.graph.edge(g).src
+                    others = tuple((e.id, e.dst) for e in self.graph.out_edges(v) if e.id != g)
+                    at = siblings[g] = (v, others)
+                v, others = at
+                pe, qe = pe[:-1], qe[:-1]
+                k0 = (lp - 1, pe, pb, lq - 1, qe, qb, v)
+                put(k0, c)
+                if pe and qe and pe[-1] == qe[-1] and pe[-1] in special:
+                    levels.setdefault(level - 1, set()).add(k0)
+                for eid, dst in others:
+                    put((lp, pe + (eid,), pb, lq, qe + (eid,), qb, dst), neg(c))
                 steps += 1
-        return terms, steps
+        out = {}
+        for k, c in terms.items():
+            m = given.get(k)
+            if m is None:
+                _, pe, pb, _, qe, qb, end = k
+                m = Monomial(Path(pb, pe, end), Path(qb, qe, end))
+            out[m] = c
+        return out, steps
 
     def normal_form(self, raw: dict) -> "LpaElement":
         """Canonical element from a raw monomial -> coefficient map."""
@@ -337,9 +364,10 @@ class LpaElement:
     def __add__(self, other):
         self._check_same(other)
         field = self.algebra.field
+        zero = field.zero()
         acc = dict(self.terms)
         for m, c in other.terms.items():
-            s = field.add(acc.get(m, field.zero()), c)
+            s = field.add(acc.get(m, zero), c)
             if field.is_zero(s):
                 acc.pop(m, None)
             else:
@@ -366,6 +394,7 @@ class LpaElement:
         """
         self._check_same(other)
         field = self.algebra.field
+        zero = field.zero()
         right = list(other.terms.items())
         exact: dict = {}
         longer: dict = {}
@@ -384,7 +413,7 @@ class LpaElement:
                 m2, c2 = right[j]
                 m = _monomial_product(m1, m2)
                 c = field.mul(c1, c2)
-                raw[m] = field.add(raw.get(m, field.zero()), c)
+                raw[m] = field.add(raw.get(m, zero), c)
         return self.algebra.normal_form(raw)
 
     def star(self) -> "LpaElement":

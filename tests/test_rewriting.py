@@ -7,8 +7,12 @@ right factor.  The oracles below are the earlier versions: a rewrite loop
 that re-sorts every term before each step, and the all-pairs product.
 On random multigraphs (loops, parallel edges, exits) both must give the
 same terms in the same dict order, the same rewrite step count and the
-same raw sum before reduction.
+same raw sum before reduction.  Every returned monomial is also checked
+against the graph, and the step counts are pinned at the sizes the
+benchmark runs.
 """
+
+import dataclasses
 
 import pytest
 
@@ -199,6 +203,62 @@ def test_product_matches_all_pairs(case):
         assert list(got.terms.items()) == list(want_terms.items())
 
 
+@SETTINGS
+@hypothesis.given(algebra_and_raw())
+def test_normal_form_terms_are_consistent_admissible_monomials(case):
+    """Every returned monomial is admissible and made of two paths of the
+    graph with one range, checked against the graph itself rather than
+    against the oracle: a stale `end` left after an edge is dropped
+    would show here."""
+    A, raw = case
+    x = A.normal_form(raw)
+    for m in x.terms:
+        assert A.graph.path(m.p.base, m.p.edges) == m.p
+        assert A.graph.path(m.q.base, m.q.edges) == m.q
+        assert m.p.end == m.q.end
+        assert A.is_admissible(m)
+
+
+# -- pinned counts at benchmark shape ---------------------------------------------
+
+
+def _sum_ppstar(A, length):
+    one = A.field.one()
+    return {Monomial(p, p): one for p in paths_up_to(A.graph, length) if len(p) == length}
+
+
+def test_fed_cycle_sum_ppstar_steps():
+    """A tail t0 -> ... -> t59 -> c0 feeding the 7-cycle c0 -> ... -> c6 -> c0,
+    over F_1000003: every vertex has one outgoing edge, so each p p* of
+    length 20 takes 20 steps down to its base vertex."""
+    tail, t = 60, 7
+    ts = [f"t{i}" for i in range(tail)]
+    cs = [f"c{i}" for i in range(t)]
+    chain = ts + [cs[0]]
+    edges = [(f"a{i}", chain[i], chain[i + 1]) for i in range(tail)]
+    edges += [(f"b{i}", cs[i], cs[(i + 1) % t]) for i in range(t)]
+    A = LeavittAlgebra(Graph(ts + cs, edges), PrimeField(1000003))
+    raw = _sum_ppstar(A, 20)
+    assert len(raw) == 67
+    x, steps = A.normal_form_stats(raw)
+    assert steps == 1340
+    assert len(x.terms) == 67
+    assert x == A.identity()
+
+
+def test_complete3_with_loops_sum_ppstar_matches_oracle():
+    """K_3 with a loop at every vertex (9 edges) over Q, |p| = 6."""
+    vs = ["x", "y", "z"]
+    A = LeavittAlgebra(Graph(vs, [(f"{s}{d}", s, d) for s in vs for d in vs]), Rationals())
+    raw = _sum_ppstar(A, 6)
+    assert len(raw) == 2187
+    x, steps = A.normal_form_stats(raw)
+    want_terms, want_steps = oracle_reduce(A, raw)
+    assert steps == want_steps == 1092
+    assert len(x.terms) == 3
+    assert list(x.terms.items()) == list(want_terms.items())
+
+
 # -- pinned counts on rose_2 -----------------------------------------------------
 
 
@@ -238,3 +298,18 @@ def test_rose2_ystar_y_contracts_only_matching_pairs(monkeypatch):
     assert repr(y.star() * y) == "<512*v>"
     # the all-pairs loop made 512 * 512 = 262144 calls
     assert len(calls) == 512
+
+
+def test_normal_form_returns_input_monomials_and_types_stay_frozen():
+    A = _rose2()
+    one = A.field.one()
+    v, a = Path("v", (), "v"), Path("v", ("a",), "v")
+    kept = Monomial(Path("v", ("a", "b"), "v"), a)
+    x = A.normal_form({kept: one, Monomial(a, a): one})
+    # a is distinguished at v, so a a* = v - b b*; a.b.(a)* is admissible
+    assert repr(x) == "<1*v + -1*b.(b)* + 1*a.b.(a)*>"
+    assert any(m is kept for m in x.terms)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        kept.p = v
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.end = "w"
