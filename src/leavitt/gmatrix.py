@@ -11,11 +11,12 @@ e_ij(x) is homogeneous of degree deg(x) + d_i - d_j.
 generator per entry position the base ring can populate in that degree,
 counted per pair of shift values rather than per position.
 
-A matrix stores only its nonzero entries, one dict per row, so products,
-sums, comparisons and the grading tests cost O(nonzeros) rather than
-O(n^2): a product of two monomial matrices (at most one nonzero per row
-and column, as every generator image is) costs O(n).  ``entries`` is a
-dense view built on demand for the routines that work on a full grid.
+A matrix is the sum of its matrix units: one dict maps a position (i, j)
+to its nonzero entry, so products, sums, comparisons and the grading
+tests cost O(nonzeros) with no term in n.  A product of two monomial
+matrices (at most one nonzero per row and column, as every generator
+image is) visits at most n pairs.  ``rows`` and ``entries`` are views
+built on demand for row elimination and for routines on a full grid.
 """
 
 from __future__ import annotations
@@ -26,17 +27,17 @@ from functools import cached_property
 from .scalar import LaurentRing
 
 
-def _add_into(row: dict, j: int, x, add, is_zero) -> None:
-    """row[j] += x for a nonzero x, deleting the entry if the sum cancels."""
-    y = row.get(j)
+def _add_into(d: dict, key, x, add, is_zero) -> None:
+    """d[key] += x for a nonzero x, deleting the entry if the sum cancels."""
+    y = d.get(key)
     if y is None:
-        row[j] = x
+        d[key] = x
         return
     s = add(y, x)
     if is_zero(s):
-        del row[j]
+        del d[key]
     else:
-        row[j] = s
+        d[key] = s
 
 
 class GradedMatrixAlgebra:
@@ -70,29 +71,32 @@ class GradedMatrixAlgebra:
             raise ValueError(f"expected a {self.n} x {self.n} entry grid")
         is_zero = self.base.is_zero
         return GradedMatrix(
-            self, tuple({j: x for j, x in enumerate(r) if not is_zero(x)} for r in grid)
+            self,
+            {(i, j): x for i, r in enumerate(grid) for j, x in enumerate(r) if not is_zero(x)},
         )
 
     def sum_of_units(self, units) -> "GradedMatrix":
-        """The sum of the matrix units e_ij(x) over (i, j, x) in `units`."""
-        b = self.base
-        rows = tuple({} for _ in range(self.n))
+        """The sum of the matrix units e_ij(x) over (i, j, x) in `units`.
+        A position outside the n x n grid raises IndexError."""
+        add, is_zero = self.base.add, self.base.is_zero
+        n = self.n
+        out = {}
         for i, j, x in units:
-            if not b.is_zero(x):
-                _add_into(rows[i], j, x, b.add, b.is_zero)
-        return GradedMatrix(self, rows)
+            if not (0 <= i < n and 0 <= j < n):
+                raise IndexError(f"unit position ({i}, {j}) out of range for n = {n}")
+            if not is_zero(x):
+                _add_into(out, (i, j), x, add, is_zero)
+        return GradedMatrix(self, out)
 
     def zero(self) -> "GradedMatrix":
-        return GradedMatrix(self, tuple({} for _ in range(self.n)))
+        return GradedMatrix(self, {})
 
     def identity(self) -> "GradedMatrix":
         one = self.base.one()
-        return GradedMatrix(self, tuple({i: one} for i in range(self.n)))
+        return GradedMatrix(self, {(i, i): one for i in range(self.n)})
 
     def unit(self, i: int, j: int, x) -> "GradedMatrix":
         """The matrix with x in entry (i, j) and zeros elsewhere (0-indexed)."""
-        if not (0 <= i < self.n and 0 <= j < self.n):
-            raise IndexError(f"unit position ({i}, {j}) out of range for n = {self.n}")
         return self.sum_of_units([(i, j, x)])
 
     # -- grading -------------------------------------------------------------
@@ -140,7 +144,7 @@ class GradedMatrixAlgebra:
         )
 
     def __eq__(self, other):
-        return (
+        return other is self or (
             isinstance(other, GradedMatrixAlgebra)
             and other.base == self.base
             and other.shifts == self.shifts
@@ -156,30 +160,44 @@ class GradedMatrixAlgebra:
 class GradedMatrix:
     """A square matrix bound to its graded algebra.  Entries immutable.
 
-    `rows` is a tuple of n dicts: `rows[i]` maps a column j to the
-    nonzero (i, j) entry.  A zero entry is never stored, so two matrices
-    are equal exactly when their row dicts are.  Every operation builds
-    new dicts; none is changed after construction.  The base rings are
-    domains (fields and Laurent rings over them), so a product of two
-    stored entries is never zero and only a sum can cancel.
+    `units` maps a position (i, j) to the nonzero entry there; the matrix
+    is the sum of the units e_ij(units[i, j]).  A zero entry is never
+    stored, so two matrices are equal exactly when their unit dicts are.
+    Every operation builds a new dict; none is changed after
+    construction.  The base rings are domains (fields and Laurent rings
+    over them), so a product of two stored entries is never zero and only
+    a sum can cancel.
     """
 
-    __slots__ = ("algebra", "rows")
+    __slots__ = ("algebra", "units")
 
-    def __init__(self, algebra: GradedMatrixAlgebra, rows):
+    def __init__(self, algebra: GradedMatrixAlgebra, units: dict):
         self.algebra = algebra
-        self.rows = rows
+        self.units = units
 
     def entry(self, i: int, j: int):
-        x = self.rows[i].get(j)
+        n = self.algebra.n
+        if not (0 <= i < n and 0 <= j < n):
+            raise IndexError(f"entry position ({i}, {j}) out of range for n = {n}")
+        x = self.units.get((i, j))
         return self.algebra.base.zero() if x is None else x
+
+    @property
+    def rows(self):
+        """Row view for elimination: `rows[i]` maps j to the nonzero (i, j) entry."""
+        rows = tuple({} for _ in range(self.algebra.n))
+        for (i, j), x in self.units.items():
+            rows[i][j] = x
+        return rows
 
     @property
     def entries(self):
         """Dense read-only view: a tuple of n row tuples, zeros included."""
-        z = self.algebra.base.zero()
         n = self.algebra.n
-        return tuple(tuple(row.get(j, z) for j in range(n)) for row in self.rows)
+        grid = [[self.algebra.base.zero()] * n for _ in range(n)]
+        for (i, j), x in self.units.items():
+            grid[i][j] = x
+        return tuple(map(tuple, grid))
 
     def _check_same(self, other: "GradedMatrix"):
         if not isinstance(other, GradedMatrix):
@@ -191,110 +209,93 @@ class GradedMatrix:
         self._check_same(other)
         b = self.algebra.base
         add, is_zero = b.add, b.is_zero
-        rows = []
-        for r1, r2 in zip(self.rows, other.rows):
-            row = dict(r1)
-            for j, y in r2.items():
-                _add_into(row, j, y, add, is_zero)
-            rows.append(row)
-        return GradedMatrix(self.algebra, tuple(rows))
+        units = dict(self.units)
+        for key, y in other.units.items():
+            _add_into(units, key, y, add, is_zero)
+        return GradedMatrix(self.algebra, units)
 
     def __neg__(self):
         neg = self.algebra.base.neg
-        return GradedMatrix(
-            self.algebra, tuple({j: neg(x) for j, x in row.items()} for row in self.rows)
-        )
+        return GradedMatrix(self.algebra, {key: neg(x) for key, x in self.units.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        """Row i of the product sums x * (row k of other) over the stored
-        x = self[i][k], visiting only the stored entries of that row."""
+        """Entry (i, j) sums x * y over the stored x at (i, k) and y at
+        (k, j); the right factor is indexed by row once per product."""
         self._check_same(other)
         b = self.algebra.base
         add, is_zero, mul = b.add, b.is_zero, b.mul
-        right = other.rows
-        rows = []
-        for left in self.rows:
-            row = {}
-            for k, x in left.items():
-                for j, y in right[k].items():
-                    _add_into(row, j, mul(x, y), add, is_zero)
-            rows.append(row)
-        return GradedMatrix(self.algebra, tuple(rows))
+        right = {}
+        for (k, j), y in other.units.items():
+            right.setdefault(k, []).append((j, y))
+        units = {}
+        for (i, k), x in self.units.items():
+            for j, y in right.get(k, ()):
+                _add_into(units, (i, j), mul(x, y), add, is_zero)
+        return GradedMatrix(self.algebra, units)
 
     def scale(self, x) -> "GradedMatrix":
         b = self.algebra.base
         if b.is_zero(x):
             return self.algebra.zero()
-        return GradedMatrix(
-            self.algebra, tuple({j: b.mul(x, e) for j, e in row.items()} for row in self.rows)
-        )
+        return GradedMatrix(self.algebra, {key: b.mul(x, e) for key, e in self.units.items()})
 
     def star(self) -> "GradedMatrix":
         """Transpose with the base involution applied entrywise."""
         star = self.algebra.base.star
-        rows = tuple({} for _ in range(self.algebra.n))
-        for i, row in enumerate(self.rows):
-            for j, x in row.items():
-                rows[j][i] = star(x)
-        return GradedMatrix(self.algebra, rows)
+        return GradedMatrix(self.algebra, {(j, i): star(x) for (i, j), x in self.units.items()})
 
     def is_zero(self) -> bool:
-        return not any(self.rows)
+        return not self.units
 
     def is_homogeneous(self, m: int) -> bool:
         """Does every entry sit in the base component forced by degree m?
         (A zero entry lies in every component, so only stored ones count.)"""
         b = self.algebra.base
         shifts = self.algebra.shifts
-        for i, row in enumerate(self.rows):
-            for j, x in row.items():
-                if not b.is_zero(b.sub(x, b.component(x, m + shifts[j] - shifts[i]))):
-                    return False
-        return True
+        return all(
+            b.is_zero(b.sub(x, b.component(x, m + shifts[j] - shifts[i])))
+            for (i, j), x in self.units.items()
+        )
 
     def degree(self):
         """Degree of a nonzero homogeneous matrix; None for zero or mixed."""
         found = None
         b = self.algebra.base
         shifts = self.algebra.shifts
-        for i, row in enumerate(self.rows):
-            for j, x in row.items():
-                try:
-                    d = b.homogeneous_degree(x)
-                except ValueError:
-                    return None
-                m = d + shifts[i] - shifts[j]
-                if found is None:
-                    found = m
-                elif found != m:
-                    return None
+        for (i, j), x in self.units.items():
+            try:
+                d = b.homogeneous_degree(x)
+            except ValueError:
+                return None
+            m = d + shifts[i] - shifts[j]
+            if found is None:
+                found = m
+            elif found != m:
+                return None
         return found
 
     def component(self, m: int) -> "GradedMatrix":
         b = self.algebra.base
         shifts = self.algebra.shifts
-        rows = []
-        for i, row in enumerate(self.rows):
-            out = {}
-            for j, x in row.items():
-                c = b.component(x, m + shifts[j] - shifts[i])
-                if not b.is_zero(c):
-                    out[j] = c
-            rows.append(out)
-        return GradedMatrix(self.algebra, tuple(rows))
+        units = {}
+        for (i, j), x in self.units.items():
+            c = b.component(x, m + shifts[j] - shifts[i])
+            if not b.is_zero(c):
+                units[i, j] = c
+        return GradedMatrix(self.algebra, units)
 
     def __eq__(self, other):
         return (
             isinstance(other, GradedMatrix)
             and other.algebra == self.algebra
-            and other.rows == self.rows
+            and other.units == self.units
         )
 
     def __hash__(self):
-        return hash((self.algebra, tuple(frozenset(row.items()) for row in self.rows)))
+        return hash((self.algebra, frozenset(self.units.items())))
 
     def to_json(self) -> dict:
         return {

@@ -1,10 +1,10 @@
 """Constructive regularity and idempotent structure.
 
 An inner inverse of a is any b with a b a = a.  Over a field every
-matrix has one, read off one sparse Gauss-Jordan pass on the stored
-rows; over a Laurent ring a matrix has one exactly when its diagonal
-form has unit-or-zero entries, which for the homogeneous matrices
-arising here is automatic.  Both build b with the sparse row operations
+matrix has one, read off one sparse Gauss-Jordan pass on the rows of
+its stored units; over a Laurent ring a matrix has one exactly when its
+diagonal form has unit-or-zero entries, which for the homogeneous
+matrices arising here is automatic.  Both build b with the sparse row operations
 and product of ``gmatrix``; no dense product is formed.  Transporting a
 homogeneous algebra element through the block isomorphism, inverting
 blockwise, pulling back and projecting onto the single degree that can
@@ -95,10 +95,7 @@ def inner_inverse_field(a: GradedMatrix) -> GradedMatrix:
     """
     alg = a.algebra
     _, t, pivots = _row_reduce(a.rows, alg.base)
-    rows = [{} for _ in range(alg.n)]
-    for k, c in enumerate(pivots):
-        rows[c] = t[k]
-    return GradedMatrix(alg, tuple(rows))
+    return GradedMatrix(alg, {(c, j): x for c, row in zip(pivots, t) for j, x in row.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -118,19 +115,20 @@ def inner_inverse_laurent(a: GradedMatrix) -> GradedMatrix:
     alg = a.algebra
     ring = alg.base
     u, d, v = smith_normal_form(a.entries, ring)
-    rows = []
+    units = {}
     for i, urow in enumerate(u):
         x = d[i][i]
         if ring.is_zero(x):
-            rows.append({})
             continue
         if not ring.is_unit(x):
             raise NotRegularError(
                 "diagonal form has the nonzero non-unit entry " + ring.format(x)
             )
         inv = ring.unit_inverse(x)
-        rows.append({j: ring.mul(inv, y) for j, y in enumerate(urow) if not ring.is_zero(y)})
-    return alg.matrix(v) * GradedMatrix(alg, tuple(rows))
+        for j, y in enumerate(urow):
+            if not ring.is_zero(y):
+                units[i, j] = ring.mul(inv, y)
+    return alg.matrix(v) * GradedMatrix(alg, units)
 
 
 def inner_inverse(a: GradedMatrix) -> GradedMatrix:

@@ -375,10 +375,10 @@ def verify_phi(images: GeneratorImages) -> VerificationReport:
     contraction, the range decomposition at non-sinks, and homogeneity
     of every generator image (vertices in degree 0, edges in 1, ghosts
     in -1).  The relations are replayed by multiplying the images, never
-    by reading the closed form of ``apply``.  The images are stored
-    sparsely, so a product, sum or comparison of two monomial images
-    costs O(n) per block: at most n scalar products and no scan of zero
-    entries.
+    by reading the closed form of ``apply``.  An image stores only its
+    matrix units, so a product, sum or comparison of two monomial images
+    and the block coverage scan cost O(nonzeros) per block: at most n
+    scalar products, with no per-row work and no scan of zero entries.
     """
     report = images.report
     g = report.graph
@@ -461,10 +461,9 @@ def verify_phi(images: GeneratorImages) -> VerificationReport:
     for bi, block in enumerate(blocks):
         hit = [False] * block.n
         for v in g.vertices:
-            mat = images.vertices[v][bi]
-            for k in range(block.n):
-                if not block.algebra.base.is_zero(mat.entry(k, k)):
-                    hit[k] = True
+            for i, j in images.vertices[v][bi].units:
+                if i == j:
+                    hit[i] = True
         checks.append(Check("block-coverage", f"block {bi}", all(hit)))
 
     return VerificationReport(checks=tuple(checks))
@@ -501,10 +500,9 @@ def pull_back(report: DecompositionReport, mats) -> LpaElement:
         if mat.algebra != block.algebra:
             raise ValueError("block matrix bound to the wrong graded algebra")
         terms = block.algebra.base.terms
-        for i, row in enumerate(mat.rows):
-            for j in sorted(row):
-                for exp, c in terms(row[j]).items():
-                    pairs.append((block.preimage(i, j, exp // block.t), c))
+        for i, j in sorted(mat.units):
+            for exp, c in terms(mat.units[i, j]).items():
+                pairs.append((block.preimage(i, j, exp // block.t), c))
     return report.algebra.element(pairs)
 
 

@@ -213,6 +213,13 @@ def test_shape_and_algebra_guards():
         M.identity() + N.identity()
     with pytest.raises(IndexError):
         M.unit(2, 0, Q.one())
+    # a bad row, a negative row or a bad column, whatever the entry
+    for i, j in ((2, 0), (-1, 0), (0, 2), (0, -1)):
+        for x in (Q.one(), Q.zero()):
+            with pytest.raises(IndexError):
+                M.sum_of_units([(0, 0, Q.one()), (i, j, x)])
+        with pytest.raises(IndexError):
+            M.identity().entry(i, j)
     with pytest.raises(ValueError):
         GradedMatrixAlgebra(Q, ())
 
@@ -409,8 +416,16 @@ def dense_to_json(M, grid):
 
 
 def _assert_sparse(a):
-    """No zero stored, and the dense view puts the canonical zero elsewhere."""
+    """Every stored unit is in range and nonzero, the row and dense views
+    agree with the units, and the dense view puts the canonical zero
+    elsewhere."""
     base = a.algebra.base
+    n = a.algebra.n
+    assert all(0 <= i < n and 0 <= j < n for i, j in a.units)
+    assert not any(base.is_zero(x) for x in a.units.values())
+    assert {(i, j): x for i, row in enumerate(a.rows) for j, x in row.items()} == a.units
+    grid = a.entries
+    assert all(grid[i][j] == x for (i, j), x in a.units.items())
     assert len(a.rows) == a.algebra.n
     for row in a.rows:
         assert all(0 <= j < a.algebra.n for j in row)
@@ -497,3 +512,18 @@ def test_dense_constructor_drops_zeros():
     R = LaurentRing(F7, 2)
     ML = GradedMatrixAlgebra(R, (0,))
     assert ML.matrix([[R.zero()]]).rows == ({},)
+
+
+def test_operations_store_only_nonzeros_at_large_n():
+    """Each operation costs O(nonzeros), never O(n): at n = 100000 every
+    result below stores at most one unit.  No row or dense view is read."""
+    n = 100_000
+    M = GradedMatrixAlgebra(Q, (0,) * n)
+    one = Q.one()
+    a, b = M.unit(n - 1, 7, one), M.unit(7, 3, Fraction(2))
+    assert len(M.zero().units) == 0 and M.zero().is_zero()
+    assert len(a.units) == 1
+    assert (a * b).units == {(n - 1, 3): Fraction(2)}
+    assert len((b * a).units) == 0
+    assert len((a + M.unit(n - 1, 7, -one)).units) == 0
+    assert a.star().units == {(7, n - 1): one}

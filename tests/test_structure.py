@@ -249,26 +249,27 @@ def test_verify_phi_multiplication_count_line_12(monkeypatch):
     """Deterministic work gate: base-ring multiplications of the relation
     replay on a 12-vertex line (one sink block, n = 12).  The dense
     kernel spent n^3 = 1728 of them per product, 552960 in all.  Zero
-    tests: 144 diagonal reads for block coverage and 34 homogeneity tests,
-    one per stored image entry; the dense grid storage made 97234."""
+    tests: 34 homogeneity tests, one per stored image entry; block
+    coverage reads the diagonal units and tests no entry (the row storage
+    made 178, the dense grid storage 97234)."""
     products, mul, is_zero = _replay_work(monkeypatch, 12)
     # 144 orthogonality + 44 endpoint + 121 ghost-edge + 11 range products
     assert products == 320
     assert mul == 78
     assert mul <= products * 12
-    assert is_zero == 178
+    assert is_zero == 34
     assert is_zero <= products
 
 
 def test_verify_phi_work_count_line_40(monkeypatch):
     """The same gate on a 40-vertex line: products and comparisons visit
     only stored nonzeros, so zero tests stay below the product count
-    (the dense grid storage made 10801718 of them)."""
+    (the row storage made 1718 of them, the dense grid storage 10801718)."""
     products, mul, is_zero = _replay_work(monkeypatch, 40)
     # 1600 orthogonality + 156 endpoint + 1521 ghost-edge + 39 range products
     assert products == 3316
     assert mul == 274
-    assert is_zero == 1718
+    assert is_zero == 118
     assert is_zero <= products
 
 
