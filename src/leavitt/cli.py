@@ -5,12 +5,13 @@ Every command reads a graph from --input (JSON: {"vertices": [...],
 JSON by default, aligned text with --format text.
 
 Exit codes: 0 success; 1 malformed input (nothing on stdout), which
-includes a graph with no vertices, an element coefficient the field
-cannot parse and an inhomogeneous --element to regular-witness; 2 the
-graph has a cycle with an exit where the command needs the no-exit
-condition, or a usage error reported by argparse (an unknown option,
---field fp:4, a negative --bound or --samples); 3 an internal
-verification replay failed; 4 any other internal error (one
+includes a graph with no vertices, JSON nested too deeply to decode, an
+element path ``p`` or ``q`` that is not an array, an element coefficient
+the field cannot parse and an inhomogeneous --element to
+regular-witness; 2 the graph has a cycle with an exit where the command
+needs the no-exit condition, or a usage error reported by argparse (an
+unknown option, --field fp:4, a negative --bound or --samples); 3 an
+internal verification replay failed; 4 any other internal error (one
 ``error: internal: ...`` line on stderr, nothing on stdout).
 """
 
@@ -68,10 +69,17 @@ def _count_arg(text: str) -> int:
     return n
 
 
+def _read_json(path: str):
+    """The JSON value in the file; nesting too deep to decode is malformed input."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise GraphError("JSON nested too deeply") from None
+
+
 def _load_graph(args) -> Graph:
-    with open(args.input, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    return Graph.from_json_dict(data)
+    return Graph.from_json_dict(_read_json(args.input))
 
 
 def _load_report(args) -> DecompositionReport:
@@ -79,9 +87,7 @@ def _load_report(args) -> DecompositionReport:
 
 
 def _load_element(algebra: LeavittAlgebra, path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    return algebra.element_from_json(data)
+    return algebra.element_from_json(_read_json(path))
 
 
 _SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})

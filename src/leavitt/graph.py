@@ -13,13 +13,13 @@ enumerations here finite without a length bound.
 
 The test never lists cycles.  A simple cycle leaves each of its vertices
 by exactly one of its own edges, so no cycle has an exit exactly when
-every vertex lying on a cycle has out-degree 1.  The vertices on cycles
-are the members of the nontrivial strongly connected components plus
-the vertices with a loop; one iterative Tarjan pass finds them in
-O(|V| + |E|).  Under the condition each such component is a single
-cycle, read off by following the unique out-edges from its smallest
-vertex.  ``Graph.no_exit_cycles`` caches the outcome on the (immutable)
-graph: the cycles sorted by base, or None when some cycle has an exit.
+every vertex lying on a cycle has out-degree 1.  One pass of Kahn's
+peeling (drop the vertices of in-degree 0 until none is left) keeps
+exactly the vertices reachable from a cycle, in O(|V| + |E|); under the
+condition those are the cycle vertices, and each cycle is read off by
+following the unique out-edges from its smallest vertex.
+``Graph.no_exit_cycles`` caches the outcome on the (immutable) graph:
+the cycles sorted by base, or None when some cycle has an exit.
 ``simple_cycles`` remains the general enumerator for graphs with exits.
 
 Every walk here uses an explicit stack, so graph size is never bounded
@@ -167,8 +167,8 @@ class Graph:
     def no_exit_cycles(self):
         """The cycles, sorted by base, when none has an exit; else None.
 
-        Computed once per graph by one linear strongly-connected-component
-        pass; equal to ``simple_cycles(self)`` whenever it is not None.
+        Computed once per graph by one linear peeling pass; equal to
+        ``simple_cycles(self)`` whenever it is not None.
         """
         return _cycles_without_exit(self)
 
@@ -319,80 +319,39 @@ def has_exit(g: Graph, c: Cycle) -> bool:
     return False
 
 
-def strongly_connected_components(g: Graph):
-    """The strongly connected components of g, each a list of vertices.
-
-    Tarjan's algorithm with an explicit stack of (vertex, pending
-    out-edges) frames in place of recursion; components come out in
-    reverse topological order.
-    """
-    index, low = {}, {}
-    members = []  # Tarjan's stack of visited, unassigned vertices
-    unassigned = set()
-    comps = []
-    for root in g.vertices:
-        if root in index:
-            continue
-        index[root] = low[root] = len(index)
-        members.append(root)
-        unassigned.add(root)
-        frames = [(root, iter(g.out_edges(root)))]
-        while frames:
-            v, pending = frames[-1]
-            for e in pending:
-                w = e.dst
-                if w not in index:
-                    index[w] = low[w] = len(index)
-                    members.append(w)
-                    unassigned.add(w)
-                    frames.append((w, iter(g.out_edges(w))))
-                    break
-                if w in unassigned and index[w] < low[v]:
-                    low[v] = index[w]
-            else:
-                frames.pop()
-                if frames:
-                    u = frames[-1][0]
-                    if low[v] < low[u]:
-                        low[u] = low[v]
-                if low[v] == index[v]:
-                    comp = []
-                    while True:
-                        w = members.pop()
-                        unassigned.discard(w)
-                        comp.append(w)
-                        if w == v:
-                            break
-                    comps.append(comp)
-    return comps
-
-
 def _cycles_without_exit(g: Graph):
     """The cycles of g sorted by base if none has an exit, else None.
 
-    A component lies on a cycle when it has two or more vertices or a
-    loop.  Every vertex of such a component needs out-degree 1; the
-    component is then one cycle, and walking its unique out-edges from
-    the smallest vertex gives the canonical rotation.
+    Kahn's peeling: drop the vertices of in-degree 0, one at a time,
+    discounting their out-edges.  The vertices left are exactly those
+    reachable from a cycle.  One of them on no cycle is reached along a
+    path leaving some cycle, an exit; and every cycle survives.  So no
+    cycle has an exit exactly when every vertex left has out-degree 1,
+    and then the vertices left are the cycle vertices.  Walking the
+    unique out-edges from each unvisited one, in sorted order, gives
+    each cycle once, based at its smallest vertex and sorted by base.
     """
-    cycles = []
-    for comp in strongly_connected_components(g):
-        out = [g.out_edges(v) for v in comp]
-        if len(comp) == 1 and all(e.dst != comp[0] for e in out[0]):
-            continue  # a vertex on no cycle
-        if any(len(es) != 1 for es in out):
-            return None
-        base = min(comp)
-        edges = []
-        at = base
-        while True:
-            (e,) = g.out_edges(at)
+    out = g._out
+    indegree = {v: len(es) for v, es in g._in.items()}
+    stack = [v for v, d in indegree.items() if not d]
+    while stack:
+        for e in out[stack.pop()]:
+            indegree[e.dst] -= 1
+            if not indegree[e.dst]:
+                stack.append(e.dst)
+    left = sorted(v for v, d in indegree.items() if d)
+    if any(len(out[v]) != 1 for v in left):
+        return None
+    cycles, seen = [], set()
+    for base in left:
+        edges, at = [], base
+        while at not in seen:
+            seen.add(at)
+            (e,) = out[at]
             edges.append(e.id)
             at = e.dst
-            if at == base:
-                break
-        cycles.append(Cycle(Path(base, tuple(edges), base)))
-    cycles.sort(key=lambda c: c.base)
+        if edges:
+            cycles.append(Cycle(Path(base, tuple(edges), base)))
     return tuple(cycles)
 
 
@@ -400,8 +359,8 @@ def no_exit_condition(g: Graph) -> bool:
     """True when no simple cycle of g has an exit.
 
     Equivalently, every vertex on a cycle has out-degree 1.  Decided by
-    the linear pass behind ``Graph.no_exit_cycles`` and cached on g, so
-    repeated calls are lookups.
+    the linear peeling pass behind ``Graph.no_exit_cycles`` and cached
+    on g, so repeated calls are lookups.
     """
     return g.no_exit_cycles is not None
 

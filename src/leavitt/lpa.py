@@ -318,6 +318,8 @@ class LeavittAlgebra:
         pairs = []
         for rec in data:
             try:
+                if not (isinstance(rec["p"], list) and isinstance(rec["q"], list)):
+                    raise GraphError("element paths 'p' and 'q' must be arrays")
                 p = self.graph.path(rec["p_base"], tuple(rec["p"]))
                 q = self.graph.path(rec["q_base"], tuple(rec["q"]))
                 coeff = rec["coeff"]

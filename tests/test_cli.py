@@ -128,18 +128,18 @@ def test_unparsable_coefficient_is_exit_1(tmp_path, capsys, coeff, field):
     _assert_malformed(*run_main(capsys, argv))
 
 
-@pytest.mark.parametrize(
-    "command",
-    [
-        "classify",
-        "decompose",
-        "dims",
-        "verify-iso",
-        "regular-witness",
-        "idempotent-report",
-        "type-witness",
-    ],
+COMMANDS = (
+    "classify",
+    "decompose",
+    "dims",
+    "verify-iso",
+    "regular-witness",
+    "idempotent-report",
+    "type-witness",
 )
+
+
+@pytest.mark.parametrize("command", COMMANDS)
 def test_graph_without_vertices_is_exit_1(tmp_path, capsys, command):
     """A graph needs a vertex: every command refuses an empty one as input."""
     empty = tmp_path / "empty.json"
@@ -148,6 +148,39 @@ def test_graph_without_vertices_is_exit_1(tmp_path, capsys, command):
     if command == "idempotent-report":
         argv += ["--element", _element_file(tmp_path, [])]
     _assert_malformed(*run_main(capsys, argv))
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_deeply_nested_input_is_exit_1(tmp_path, capsys, command):
+    """JSON nested past the decoder's recursion limit is malformed input."""
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200000)
+    argv = [command, "--input", str(deep)]
+    if command == "idempotent-report":
+        argv += ["--element", _element_file(tmp_path, [])]
+    _assert_malformed(*run_main(capsys, argv))
+
+
+@pytest.mark.parametrize("command", ["regular-witness", "idempotent-report"])
+@pytest.mark.parametrize("text", ["[" * 200000, "[" * 5000 + "]" * 5000])
+def test_deeply_nested_element_is_exit_1(tmp_path, capsys, command, text):
+    p = write_graph(tmp_path, build_corpus()["loop"])
+    deep = tmp_path / "deep.json"
+    deep.write_text(text)
+    _assert_malformed(*run_main(capsys, [command, "--input", p, "--element", str(deep)]))
+
+
+@pytest.mark.parametrize("path", ["c", {"c": 1}, None], ids=["string", "object", "null"])
+@pytest.mark.parametrize("side", ["p", "q"])
+def test_element_path_must_be_an_array(tmp_path, capsys, side, path):
+    """A path given as a string or an object is refused, not read as its
+    characters or keys."""
+    p = write_graph(tmp_path, build_corpus()["loop"])
+    term = {"p": ["c"], "p_base": "v1", "q": ["c"], "q_base": "v1", "coeff": "1"}
+    term[side] = path
+    elem = _element_file(tmp_path, [term])
+    _assert_malformed(*run_main(capsys, ["idempotent-report", "--input", p, "--element", elem]))
+    _assert_malformed(*run_main(capsys, ["regular-witness", "--input", p, "--element", elem]))
 
 
 def test_decimal_string_coefficient_is_exact(tmp_path, capsys):

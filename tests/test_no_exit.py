@@ -1,11 +1,11 @@
 """The linear no-exit test against cycle enumeration.
 
 ``no_exit_condition`` and ``Graph.no_exit_cycles`` decide the no-exit
-condition by one strongly-connected-component pass.  Here they are
-compared with the definition (every simple cycle, none with an exit) on
-random multigraphs, with networkx (when installed) as a second cycle
-oracle, and the iterative path walks are compared with the recursive
-ones they replaced.
+condition by one peeling pass.  Here they are compared with the
+definition (every simple cycle, none with an exit) on random and on
+fixed multigraphs, with networkx (when installed) as a second oracle,
+and the iterative path walks are compared with the recursive ones they
+replaced.
 """
 
 import sys
@@ -33,7 +33,6 @@ from leavitt.graph import (
     paths_into_cycle,
     simple_cycles,
     sinks,
-    strongly_connected_components,
 )
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -112,15 +111,63 @@ def test_cycle_count_matches_networkx(g):
     assert len(simple_cycles(g)) == networkx_cycle_count(g)
 
 
-@SETTINGS
-@hypothesis.given(multigraphs())
-def test_components_match_networkx(g):
+def networkx_no_exit_cycles(g):
+    """The cycles when none has an exit, else None, from networkx alone:
+    the vertices on cycles are the nontrivial strongly connected
+    components plus the vertices with a loop, and each needs out-degree
+    1; each component is then one cycle, walked from its smallest vertex."""
     nx = pytest.importorskip("networkx")
     h = nx.MultiDiGraph()
     h.add_nodes_from(g.vertices)
-    h.add_edges_from((e.src, e.dst) for e in g.edges)
-    ours = sorted(sorted(c) for c in strongly_connected_components(g))
-    assert ours == sorted(sorted(c) for c in nx.strongly_connected_components(h))
+    h.add_edges_from((e.src, e.dst, e.id) for e in g.edges)
+    on_cycles = [
+        comp
+        for comp in nx.strongly_connected_components(h)
+        if len(comp) > 1 or any(h.has_edge(v, v) for v in comp)
+    ]
+    if any(h.out_degree(v) != 1 for comp in on_cycles for v in comp):
+        return None
+    cycles = []
+    for base in sorted(min(comp) for comp in on_cycles):
+        edges, at = [], base
+        while not edges or at != base:
+            ((_, at, eid),) = h.out_edges(at, keys=True)
+            edges.append(eid)
+        cycles.append(Cycle(Path(base, tuple(edges), base)))
+    return tuple(cycles)
+
+
+@SETTINGS
+@hypothesis.given(st.one_of(multigraphs(), no_exit_multigraphs()))
+def test_peeling_matches_networkx(g):
+    expected = networkx_no_exit_cycles(g)
+    assert no_exit_condition(g) is (expected is not None)
+    assert g.no_exit_cycles == expected
+
+
+FIXED = {
+    # edges written src>dst; their ids are e0, e1, ... in that order
+    "cycle-path-cycle": "a>b b>a b>c c>d d>d",
+    "figure-eight": "u>v v>u v>w w>v",
+    "cycle-sink": "x>y y>x y>s",
+    "tail-cycle": "t0>t1 t1>c1 c0>c1 c1>c2 c2>c0",
+    "two-loops": "v>v v>v",
+    "cycle-feeds-cycle": "p>q q>p q>r r>s s>r",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIXED))
+def test_peeling_on_fixed_graphs(name):
+    ends = [arrow.split(">") for arrow in FIXED[name].split()]
+    vs = sorted({v for pair in ends for v in pair})
+    g = Graph(vs, [(f"e{k}", s, d) for k, (s, d) in enumerate(ends)])
+    ne = rule_by_enumeration(g)
+    assert ne is (name == "tail-cycle")
+    assert no_exit_condition(g) is ne
+    assert g.no_exit_cycles == (simple_cycles(g) if ne else None)
+    if ne:
+        (c,) = g.no_exit_cycles
+        assert c.base == "c0" and c.path.edges == ("e2", "e3", "e4")
 
 
 # -- the recursive walks the iterative ones replaced, as oracles ------------------
@@ -311,9 +358,9 @@ def test_hot_path_never_calls_simple_cycles(monkeypatch):
         if vars(module).get("simple_cycles") is original:
             monkeypatch.setattr(module, "simple_cycles", forbidden)
     passes = []
-    scc = graph_module.strongly_connected_components
+    peel = graph_module._cycles_without_exit
     monkeypatch.setattr(
-        graph_module, "strongly_connected_components", lambda g: passes.append(g) or scc(g)
+        graph_module, "_cycles_without_exit", lambda g: passes.append(g) or peel(g)
     )
 
     for name, g in fresh.items():
