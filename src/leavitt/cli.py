@@ -5,14 +5,17 @@ Every command reads a graph from --input (JSON: {"vertices": [...],
 JSON by default, aligned text with --format text.
 
 Exit codes: 0 success; 1 malformed input (nothing on stdout), which
-includes a graph with no vertices, JSON nested too deeply to decode, an
-element path ``p`` or ``q`` that is not an array, an element coefficient
-the field cannot parse and an inhomogeneous --element to
-regular-witness; 2 the graph has a cycle with an exit where the command
-needs the no-exit condition, or a usage error reported by argparse (an
-unknown option, --field fp:4, a negative --bound or --samples); 3 an
-internal verification replay failed; 4 any other internal error (one
-``error: internal: ...`` line on stderr, nothing on stdout).
+includes an --input or --element file that cannot be read or is not
+UTF-8, a graph with no vertices, a vertex or edge id that is neither a
+string nor an integer, JSON nested too deeply to decode, an element path
+``p`` or ``q`` that is not an array, an element coefficient the field
+cannot parse and an inhomogeneous --element to regular-witness; 2 the
+graph has a cycle with an exit where the command needs the no-exit
+condition, or a usage error reported by argparse (an unknown option,
+--field fp:4, a negative --bound or --samples); 3 an internal
+verification replay failed; 4 any other internal error (one ``error:
+internal: ...`` line on stderr, nothing on stdout); 141 (128 + SIGPIPE)
+the reader closed stdout, with nothing on stderr.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import random
 import sys
 from json.encoder import encode_basestring_ascii
@@ -70,12 +74,14 @@ def _count_arg(text: str) -> int:
 
 
 def _read_json(path: str):
-    """The JSON value in the file; nesting too deep to decode is malformed input."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    """The JSON value in the file; failing to read or decode it is malformed input."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-        except RecursionError:
-            raise GraphError("JSON nested too deeply") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise GraphError(str(exc)) from None
+    except RecursionError:
+        raise GraphError("JSON nested too deeply") from None
 
 
 def _load_graph(args) -> Graph:
@@ -358,8 +364,14 @@ def main(argv=None) -> int:
     # looked up per call, so a replaced command function is the one run
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return command(args)
-    except (GraphError, json.JSONDecodeError, OSError) as exc:
+        code = command(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader left; the interpreter's final flush must not fail too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    except (GraphError, json.JSONDecodeError) as exc:
         print(f"error: malformed input: {exc}", file=sys.stderr)
         return 1
     except (ExitConditionError, InfiniteEnumerationError) as exc:

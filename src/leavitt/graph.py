@@ -30,6 +30,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
+from typing import NamedTuple
 
 
 class GraphError(ValueError):
@@ -40,8 +42,7 @@ class InfiniteEnumerationError(RuntimeError):
     """A path enumeration was requested that is not guaranteed finite."""
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     id: str
     src: str
     dst: str
@@ -108,34 +109,26 @@ class Graph:
         vs = tuple(str(v) for v in vertices)
         if not vs:
             raise GraphError("a graph needs at least one vertex")
-        if len(set(vs)) != len(vs):
-            raise GraphError("duplicate vertex identifiers")
         self.vertices = vs
         vset = set(vs)
-        es = []
-        for e in edges:
-            if isinstance(e, Edge):
-                eid, src, dst = e.id, e.src, e.dst
-            else:
-                eid, src, dst = e
-            eid, src, dst = str(eid), str(src), str(dst)
+        if len(vset) != len(vs):
+            raise GraphError("duplicate vertex identifiers")
+        self.edges = es = tuple(Edge(str(i), str(s), str(d)) for i, s, d in edges)
+        for eid, src, dst in es:
             if src not in vset:
                 raise GraphError(f"edge {eid}: unknown source vertex {src}")
             if dst not in vset:
                 raise GraphError(f"edge {eid}: unknown range vertex {dst}")
-            es.append(Edge(eid, src, dst))
-        ids = [e.id for e in es]
-        if len(set(ids)) != len(ids):
-            raise GraphError("duplicate edge identifiers")
-        self.edges = tuple(es)
         self._by_id = {e.id: e for e in es}
+        if len(self._by_id) != len(es):
+            raise GraphError("duplicate edge identifiers")
         out = {v: [] for v in vs}
         into = {v: [] for v in vs}
-        for e in es:
+        for e in sorted(es):  # ids are unique, so this is id order
             out[e.src].append(e)
             into[e.dst].append(e)
-        self._out = {v: tuple(sorted(out[v], key=lambda e: e.id)) for v in vs}
-        self._in = {v: tuple(sorted(into[v], key=lambda e: e.id)) for v in vs}
+        self._out = {v: tuple(x) for v, x in out.items()}
+        self._in = {v: tuple(x) for v, x in into.items()}
 
     # -- basic queries ---------------------------------------------------
 
@@ -209,18 +202,19 @@ class Graph:
         if not isinstance(data, dict):
             raise GraphError("graph serialization must be an object")
         try:
-            vertices = data["vertices"]
-            edges = data["edges"]
+            vertices, edges = data["vertices"], data["edges"]
         except (KeyError, TypeError):
             raise GraphError("graph serialization needs 'vertices' and 'edges'") from None
         if not isinstance(vertices, list) or not isinstance(edges, list):
             raise GraphError("'vertices' and 'edges' must be arrays")
-        triples = []
-        for rec in edges:
-            try:
-                triples.append((rec["id"], rec["src"], rec["dst"]))
-            except (KeyError, TypeError):
-                raise GraphError("each edge needs 'id', 'src' and 'dst'") from None
+        try:
+            triples = [(rec["id"], rec["src"], rec["dst"]) for rec in edges]
+        except (KeyError, TypeError):
+            raise GraphError("each edge needs 'id', 'src' and 'dst'") from None
+        # by exact type, so a JSON true or false is refused like null or 1.5
+        if not set(map(type, chain(vertices, *triples))) <= {str, int}:
+            bad = next(x for x in chain(vertices, *triples) if type(x) not in (str, int))
+            raise GraphError(f"an identifier must be a string or an integer, not {bad!r}")
         return cls(vertices, triples)
 
     def to_json_dict(self) -> dict:

@@ -11,15 +11,11 @@ per cycle:
   regraded the same way.
 
 Each generator image, and the image of every monomial p q*, is a
-monomial matrix given in closed form.  A block with index paths
-q_0, ..., q_(n-1) and cycle c (None at a sink, where every winding is
-0) factors p q_k = q_i c^w for each k with s(q_k) = r(p); then p q*
-maps to the sum over those k of e_(i_p, i_q)(x^((w_p - w_q) t)).
-``GeneratorImages.apply`` accumulates exactly these entries, and
-``phi`` is ``apply`` on the vertices, edges and ghosts.  ``verify_phi``
-replays every defining relation on the images by matrix products (which
-visit only the stored nonzero entries of these monomial matrices), so it
-checks the closed form rather than trusting it.
+monomial matrix given in closed form by ``GeneratorImages.apply``;
+``phi`` only wraps the report.  The vertex, edge and ghost tables are
+built on first read, which only ``verify_phi`` (behind ``verify-iso``)
+does: it replays every defining relation on them by matrix products,
+so it checks the closed form rather than trusting it.
 ``phi_inverse_basis`` and ``pull_back`` invert the map explicitly,
 sending the matrix unit e_ij(x^(w t)) back to the canonical form of
 q_i c^w q_j* (a negative w putting the cycle power on the ghost side).
@@ -221,13 +217,6 @@ class DecompositionReport:
         }
 
 
-def _require_no_exit(g: Graph):
-    if not no_exit_condition(g):
-        raise ExitConditionError(
-            "a cycle has an exit; the graded matrix decomposition does not apply"
-        )
-
-
 def decompose(algebra_or_graph, field=None) -> DecompositionReport:
     """The graded matrix block decomposition; requires the no-exit condition.
 
@@ -240,7 +229,10 @@ def decompose(algebra_or_graph, field=None) -> DecompositionReport:
     else:
         algebra = LeavittAlgebra(algebra_or_graph, field)
     g = algebra.graph
-    _require_no_exit(g)
+    if not no_exit_condition(g):
+        raise ExitConditionError(
+            "a cycle has an exit; the graded matrix decomposition does not apply"
+        )
 
     def block(anchor, cycle, paths, base):
         shifts = tuple(len(p.edges) for p in paths)
@@ -264,19 +256,40 @@ def decompose(algebra_or_graph, field=None) -> DecompositionReport:
 
 @dataclass
 class GeneratorImages:
-    """Images of every generator under the block isomorphism.
+    """The block isomorphism of one decomposition, in closed form.
 
-    `vertices[v]`, `edges[e]`, `ghosts[e]` are tuples of GradedMatrix,
-    one per block.  `apply` maps any element of the algebra by the closed
-    form and reads only the report, never these dicts: a caller that
-    edits an image (as `leavitt verify-iso --corrupt` does) changes what
-    `verify_phi` replays, not what `apply` computes.
+    For each block with index paths q_0, ..., q_(n-1):
+
+    * vertex u: sum of e_kk over k with s(q_k) = u;
+    * edge f: for each k with s(q_k) = r(f), the path f q_k ends at the
+      block anchor and factors as q_i c^w, contributing e_ik(x^(w t))
+      (w = 0 always at a sink block);
+    * ghost f: the star of the image of f.
+
+    Degrees come out right automatically: w t + len(q_i) - len(q_k) = 1.
+    `apply` maps any element by this closed form and reads only `report`.
+    The tables `vertices[v]`, `edges[e]` and `ghosts[e]` (tuples of
+    GradedMatrix, one per block) are built by `apply` when first read,
+    and only `verify-iso` reads them; editing one (as its `--corrupt`
+    does) changes what `verify_phi` replays, not what `apply` computes.
     """
 
     report: DecompositionReport
-    vertices: dict
-    edges: dict
-    ghosts: dict
+
+    @cached_property
+    def vertices(self) -> dict:
+        vertex = self.report.algebra.vertex
+        return {v: self.apply(vertex(v)) for v in self.report.graph.vertices}
+
+    @cached_property
+    def edges(self) -> dict:
+        edge = self.report.algebra.edge
+        return {e.id: self.apply(edge(e.id)) for e in self.report.graph.edges}
+
+    @cached_property
+    def ghosts(self) -> dict:
+        ghost = self.report.algebra.ghost
+        return {e.id: self.apply(ghost(e.id)) for e in self.report.graph.edges}
 
     def zero(self):
         return tuple(b.algebra.zero() for b in self.report.blocks)
@@ -308,28 +321,8 @@ class GeneratorImages:
 
 
 def phi(report: DecompositionReport) -> GeneratorImages:
-    """Build the generator images of the block isomorphism: `apply` on
-    every vertex, edge and ghost.
-
-    For each block with index paths q_0, ..., q_(n-1):
-
-    * vertex u: sum of e_kk over k with s(q_k) = u;
-    * edge f: for each k with s(q_k) = r(f), the path f q_k ends at the
-      block anchor and factors as q_i c^w, contributing e_ik(x^(w t))
-      (w = 0 always at a sink block);
-    * ghost f: the star of the image of f.
-
-    Degrees come out right automatically: w t + len(q_i) - len(q_k) = 1.
-    """
-    A = report.algebra
-    g = report.graph
-    images = GeneratorImages(report=report, vertices={}, edges={}, ghosts={})
-    for v in g.vertices:
-        images.vertices[v] = images.apply(A.vertex(v))
-    for e in g.edges:
-        images.edges[e.id] = images.apply(A.edge(e.id))
-        images.ghosts[e.id] = images.apply(A.ghost(e.id))
-    return images
+    """The block isomorphism of `report`: its tables are built when first read."""
+    return GeneratorImages(report)
 
 
 # ---------------------------------------------------------------------------
@@ -380,9 +373,9 @@ def verify_phi(images: GeneratorImages) -> VerificationReport:
     and the block coverage scan cost O(nonzeros) per block: at most n
     scalar products, with no per-row work and no scan of zero entries.
     """
-    report = images.report
-    g = report.graph
-    blocks = report.blocks
+    g = images.report.graph
+    # the tables as locals: each is read O(|V|^2 + |E|^2) times
+    vertices, edges, ghosts = images.vertices, images.edges, images.ghosts
     checks = []
 
     def tuple_mul(a, b):
@@ -399,42 +392,42 @@ def verify_phi(images: GeneratorImages) -> VerificationReport:
     # A1: vertices are orthogonal idempotents
     for u in g.vertices:
         for v in g.vertices:
-            prod = tuple_mul(images.vertices[u], images.vertices[v])
-            want = images.vertices[u] if u == v else zero
+            prod = tuple_mul(vertices[u], vertices[v])
+            want = vertices[u] if u == v else zero
             checks.append(Check("orthogonal-idempotents", f"{u},{v}", tuple_eq(prod, want)))
 
     # the vertex images resolve the identity
     acc = zero
     for v in g.vertices:
-        acc = tuple_add(acc, images.vertices[v])
+        acc = tuple_add(acc, vertices[v])
     checks.append(Check("identity-resolution", "sum of vertices", tuple_eq(acc, images.identity())))
 
     # A2: endpoint relations for edges and ghosts
     for e in g.edges:
-        fe = images.edges[e.id]
-        ge = images.ghosts[e.id]
+        fe = edges[e.id]
+        ge = ghosts[e.id]
         checks.append(
             Check(
                 "edge-endpoints",
                 e.id,
-                tuple_eq(tuple_mul(images.vertices[e.src], fe), fe)
-                and tuple_eq(tuple_mul(fe, images.vertices[e.dst]), fe),
+                tuple_eq(tuple_mul(vertices[e.src], fe), fe)
+                and tuple_eq(tuple_mul(fe, vertices[e.dst]), fe),
             )
         )
         checks.append(
             Check(
                 "ghost-endpoints",
                 e.id,
-                tuple_eq(tuple_mul(images.vertices[e.dst], ge), ge)
-                and tuple_eq(tuple_mul(ge, images.vertices[e.src]), ge),
+                tuple_eq(tuple_mul(vertices[e.dst], ge), ge)
+                and tuple_eq(tuple_mul(ge, vertices[e.src]), ge),
             )
         )
 
     # CK1: ghost-edge contraction
     for e1 in g.edges:
         for e2 in g.edges:
-            prod = tuple_mul(images.ghosts[e1.id], images.edges[e2.id])
-            want = images.vertices[e1.dst] if e1.id == e2.id else zero
+            prod = tuple_mul(ghosts[e1.id], edges[e2.id])
+            want = vertices[e1.dst] if e1.id == e2.id else zero
             checks.append(Check("ghost-edge", f"{e1.id},{e2.id}", tuple_eq(prod, want)))
 
     # CK2: range decomposition at every non-sink
@@ -444,24 +437,24 @@ def verify_phi(images: GeneratorImages) -> VerificationReport:
             continue
         acc = zero
         for e in out:
-            acc = tuple_add(acc, tuple_mul(images.edges[e.id], images.ghosts[e.id]))
-        checks.append(Check("range-decomposition", v, tuple_eq(acc, images.vertices[v])))
+            acc = tuple_add(acc, tuple_mul(edges[e.id], ghosts[e.id]))
+        checks.append(Check("range-decomposition", v, tuple_eq(acc, vertices[v])))
 
     # grading: generator images are homogeneous of the right degree
     for v in g.vertices:
-        ok = all(m.is_homogeneous(0) for m in images.vertices[v])
+        ok = all(m.is_homogeneous(0) for m in vertices[v])
         checks.append(Check("vertex-degree-0", v, ok))
     for e in g.edges:
-        ok = all(m.is_homogeneous(1) for m in images.edges[e.id])
-        ok = ok and all(m.is_homogeneous(-1) for m in images.ghosts[e.id])
+        ok = all(m.is_homogeneous(1) for m in edges[e.id])
+        ok = ok and all(m.is_homogeneous(-1) for m in ghosts[e.id])
         checks.append(Check("edge-degree-1", e.id, ok))
 
     # the block column spaces are hit: every diagonal unit appears in
     # some vertex image (so phi does not silently drop a block corner)
-    for bi, block in enumerate(blocks):
+    for bi, block in enumerate(images.report.blocks):
         hit = [False] * block.n
         for v in g.vertices:
-            for i, j in images.vertices[v][bi].units:
+            for i, j in vertices[v][bi].units:
                 if i == j:
                     hit[i] = True
         checks.append(Check("block-coverage", f"block {bi}", all(hit)))

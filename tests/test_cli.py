@@ -349,6 +349,66 @@ def test_installed_script_runs(tmp_path):
     assert json.loads(proc.stdout)["no_exit"] is True
 
 
+def test_closed_stdout_is_exit_141(tmp_path):
+    """A reader that leaves early: exit 141 (128 + SIGPIPE), what a shell
+    reports for such a writer, and nothing on stderr."""
+    n = 400
+    vs = [f"v{i}" for i in range(n)]
+    g = Graph(vs, [(f"e{i}", vs[i], vs[i + 1]) for i in range(n - 1)])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "leavitt.cli", "decompose", "--input", write_graph(tmp_path, g)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
+
+
+@pytest.mark.parametrize("target", ["input", "element"])
+def test_non_utf8_file_is_exit_1(tmp_path, capsys, target):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff")
+    if target == "input":
+        argv = ["classify", "--input", str(bad)]
+    else:
+        p = write_graph(tmp_path, build_corpus()["sink_loop"])
+        argv = ["idempotent-report", "--input", p, "--element", str(bad)]
+    _assert_malformed(*run_main(capsys, argv))
+
+
+def test_non_string_identifier_is_exit_1(tmp_path, capsys):
+    p = tmp_path / "graph.json"
+    p.write_text(json.dumps({"vertices": ["a", ["b"]], "edges": []}))
+    _assert_malformed(*run_main(capsys, ["classify", "--input", str(p)]))
+
+
+def test_only_verify_iso_builds_generator_tables(tmp_path, capsys, monkeypatch):
+    """The witness commands apply the isomorphism and never read its
+    generator tables; the relation replay of verify-iso reads all three."""
+    made, original = [], cli.phi
+
+    def recording_phi(report):
+        made.append(original(report))
+        return made[-1]
+
+    monkeypatch.setattr(cli, "phi", recording_phi)
+    p = write_graph(tmp_path, build_corpus()["sink_loop"])
+    elem = _element_file(tmp_path, [{"p": [], "p_base": "s", "q": [], "q_base": "s", "coeff": "1"}])
+    tables = {"vertices", "edges", "ghosts"}
+    for argv in (
+        ["regular-witness", "--input", p, "--samples", "3"],
+        ["idempotent-report", "--input", p, "--element", elem],
+        ["type-witness", "--input", p],
+    ):
+        assert run_main(capsys, argv)[0] == 0
+        assert not tables & vars(made[-1]).keys(), argv[0]
+    assert run_main(capsys, ["verify-iso", "--input", p])[0] == 0
+    assert len(made) == 4 and tables <= vars(made[-1]).keys()
+
+
 # -- one parser per process: repeated main() calls share nothing else ---------
 
 

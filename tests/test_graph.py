@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from corpus import build_corpus, build_negative
-from leavitt import Graph, GraphError, InfiniteEnumerationError
+from leavitt import Edge, Graph, GraphError, InfiniteEnumerationError
 from leavitt.graph import (
     concat,
     cycle_power,
@@ -35,6 +35,37 @@ def test_construction_validation():
         Graph(["v"], [("e", "w", "v")])
     with pytest.raises(GraphError):
         Graph(["v"], [("e", "v", "v"), ("e", "v", "v")])
+
+
+def test_edge_is_a_plain_tuple():
+    e = Edge("e", "a", "b")
+    assert e == ("e", "a", "b") and hash(e) == hash(("e", "a", "b"))
+    assert repr(e) == "Edge(id='e', src='a', dst='b')"
+    eid, src, dst = e
+    assert (eid, src, dst) == (e.id, e.src, e.dst) == (e[0], e[1], e[2])
+    assert Graph(["a", "b"], [e]).edges == (e,)
+
+
+@pytest.mark.parametrize(
+    "bad", [None, True, False, 1.5, ["b"], {"b": 1}],
+    ids=["null", "true", "false", "float", "array", "object"],
+)
+@pytest.mark.parametrize("field", ["vertex", "id", "src", "dst"])
+def test_json_identifiers_are_strings_or_integers(field, bad):
+    data = {"vertices": ["a", "b"], "edges": [{"id": "e", "src": "a", "dst": "b"}]}
+    if field == "vertex":
+        data["vertices"].append(bad)
+    else:
+        data["edges"][0][field] = bad
+    with pytest.raises(GraphError, match="must be a string or an integer"):
+        Graph.from_json_dict(data)
+
+
+def test_json_integer_identifiers():
+    g = Graph.from_json_dict({"vertices": [1, 2], "edges": [{"id": 7, "src": 1, "dst": 2}]})
+    assert g.vertices == ("1", "2") and g.edges == (Edge("7", "1", "2"),)
+    # called from Python, Graph still converts every identifier with str()
+    assert Graph([None], [(True, None, None)]).edges == (Edge("True", "None", "None"),)
 
 
 def test_json_round_trip():

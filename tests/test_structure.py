@@ -1,5 +1,6 @@
 """Classification, block decomposition, the generator isomorphism."""
 
+import dataclasses
 import random
 
 import pytest
@@ -217,12 +218,27 @@ def test_verify_phi_catches_corruption():
     assert any(c.relation == "edge-degree-1" for c in result.failures())
 
 
+@pytest.mark.parametrize("field", [Rationals(), PrimeField(3)], ids=["Q", "F3"])
+@pytest.mark.parametrize("name", sorted(build_corpus()))
+def test_generator_tables_are_apply_on_generators(name, field):
+    """`phi` keeps only the report; each table, built on first read, is
+    `apply` on the matching generators."""
+    rep = decompose(LeavittAlgebra(build_corpus()[name], field))
+    A, g, images = rep.algebra, rep.graph, phi(rep)
+    assert [f.name for f in dataclasses.fields(images)] == ["report"]
+    assert not {"vertices", "edges", "ghosts"} & vars(images).keys()
+    assert images.vertices == {v: images.apply(A.vertex(v)) for v in g.vertices}
+    assert images.edges == {e.id: images.apply(A.edge(e.id)) for e in g.edges}
+    assert images.ghosts == {e.id: images.apply(A.ghost(e.id)) for e in g.edges}
+
+
 def _replay_work(monkeypatch, n):
     """(matrix products, base-field multiplications, base-field zero tests)
     of the relation replay on an n-vertex line: one sink block of size n."""
     vs = [f"v{i}" for i in range(n)]
     g = Graph(vs, [(f"e{i}", vs[i], vs[i + 1]) for i in range(n - 1)])
     images = phi(decompose(LeavittAlgebra(g, Rationals())))
+    images.vertices, images.edges, images.ghosts  # build the tables before counting
     counts = {"mul": 0, "products": 0, "is_zero": 0}
     field_mul, field_is_zero, matrix_mul = Rationals.mul, Rationals.is_zero, GradedMatrix.__mul__
 
