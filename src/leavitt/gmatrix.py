@@ -9,7 +9,8 @@ e_ij(x) is homogeneous of degree deg(x) + d_i - d_j.
 
 ``hom_component_dim`` counts a basis of one homogeneous component: one
 generator per entry position the base ring can populate in that degree,
-counted per pair of shift values rather than per position.
+read off a histogram of the shift differences d_i - d_j rather than
+counted per position.
 
 A matrix is the sum of its matrix units: one dict maps a position (i, j)
 to its nonzero entry, so products, sums, comparisons and the grading
@@ -54,9 +55,17 @@ class GradedMatrixAlgebra:
         return len(self.shifts)
 
     @cached_property
-    def _shift_counts(self) -> tuple:
-        """(shift, multiplicity) pairs, counted on the first dimension query."""
-        return tuple(Counter(self.shifts).items())
+    def _shift_differences(self) -> tuple:
+        """(delta, D[delta]) pairs, where D[delta] counts the positions
+        (i, j) with d_i - d_j = delta: the sum of c_s * c_s' over the pairs
+        of shift values with s - s' = delta, c_s the multiplicity of s.
+        Built on the first dimension query."""
+        counts = Counter(self.shifts).items()
+        hist = Counter()
+        for si, ci in counts:
+            for sj, cj in counts:
+                hist[si - sj] += ci * cj
+        return tuple(hist.items())
 
     @property
     def is_laurent(self) -> bool:
@@ -113,13 +122,12 @@ class GradedMatrixAlgebra:
         One basis unit per position (i, j) whose required base degree
         m + d_j - d_i is realized in the base ring: always for degree 0
         over a field, for multiples of the step over a Laurent ring.  That
-        degree depends only on the two shifts, so with c_s rows of shift s
-        the count is the sum of c_s * c_s' over the ordered pairs (s, s')
-        of shift values whose degree m + s' - s is realized.
+        degree depends only on delta = d_i - d_j, so the count is the sum
+        of D[delta] over the shift differences delta whose degree
+        m - delta is realized; the histogram D is built once per algebra.
         """
         has = self.base.has_component
-        counts = self._shift_counts
-        return sum(ci * cj for si, ci in counts for sj, cj in counts if has(m + sj - si))
+        return sum(c for delta, c in self._shift_differences if has(m - delta))
 
     # -- io ---------------------------------------------------------------------
 

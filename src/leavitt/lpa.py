@@ -18,12 +18,19 @@ is that reduction; all arithmetic funnels through it, so equality of
 elements is equality of canonical forms.
 
 Grading: p q* sits in degree len(p) - len(q).  ``graded_dim`` counts the
-admissible monomials of one degree, finitely many in the no-exit case.
+admissible monomials of one degree, finitely many in the no-exit case,
+and enumerates nothing: with N_v(l) the number of paths of length l
+ending at v, the pairs of degree d with range v number
+sum_l N_v(l) N_v(l - d), and the inadmissible ones, (p g)(q g)* for the
+distinguished edge g at a non-sink u, number the same sum for u with
+the length cap one shorter, so each non-sink keeps only its top term.
+``basis_monomials`` lists the basis itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .graph import (
     Graph,
@@ -102,6 +109,11 @@ class LeavittAlgebra:
         # and length not ending in that edge, sorted}
         self._partners: dict = {}
         self._basis_cache: dict = {}
+        # (N_v series of every vertex, those of the sinks, those of the
+        # non-sinks, the counts of the last length or None once a length
+        # has no path), built by the first `graded_dim` and grown by
+        # `_path_counts`
+        self._series = None
 
     # -- element construction -------------------------------------------
 
@@ -265,15 +277,7 @@ class LeavittAlgebra:
         `Monomial.sort_key` order, so the cost is the paths of the lengths
         involved plus the basis size, with no admissibility test.
         """
-        if length_bound is None:
-            if not no_exit_condition(self.graph):
-                raise InfiniteEnumerationError(
-                    "graded components are infinite-dimensional when a cycle has an exit; "
-                    "pass length_bound for a truncated count"
-                )
-            cap = 2 * len(self.graph.vertices) + abs(degree)
-        else:
-            cap = length_bound
+        cap = self._cap(degree, length_bound)
         cached = self._basis_cache.get((degree, cap))
         if cached is not None:
             return cached
@@ -307,8 +311,76 @@ class LeavittAlgebra:
             self._by_len[len(p.edges)].append((p, cls))
             self._by_end_len.setdefault((p.end, len(p.edges)), []).append(p)
 
+    def _cap(self, degree: int, length_bound) -> int:
+        """The path length cap of one degree: 2 * (number of vertices) +
+        |degree| in unbounded mode, which needs the no-exit condition;
+        `length_bound` otherwise."""
+        if length_bound is not None:
+            return length_bound
+        if not no_exit_condition(self.graph):
+            raise InfiniteEnumerationError(
+                "graded components are infinite-dimensional when a cycle has an exit; "
+                "pass length_bound for a truncated count"
+            )
+        return 2 * len(self.graph.vertices) + abs(degree)
+
     def graded_dim(self, degree: int, length_bound=None) -> int:
-        return len(self.basis_monomials(degree, length_bound))
+        """The number of admissible monomials of one degree, with the same
+        modes and cap as `basis_monomials`, counted without listing them.
+
+        With N_v(l) the number of paths of length l ending at v, the pairs
+        p q* of degree d with both lengths in [0, cap] and range v number
+        S_v(cap) = sum_l N_v(l) N_v(l - d) over l in [lo, hi] = [max(0, d),
+        min(cap, cap + d)].  The inadmissible ones are (p g)(q g)* for the
+        distinguished edge g at each non-sink u, with p, q ending at u:
+        S_u(cap - 1) of them.  S_u(cap) - S_u(cap - 1) is the single term
+        N_u(hi) N_u(hi - d), so the dimension is the sum of S_v(cap) over
+        the sinks v plus the sum of N_u(hi) N_u(hi - d) over the non-sinks
+        u: one dot product of two slices of the cached series per sink and
+        one product per non-sink.
+        """
+        cap = self._cap(degree, length_bound)
+        lo, hi = max(0, degree), min(cap, cap + degree)
+        if hi < lo:
+            return 0
+        sinks, nonsinks, lengths = self._path_counts(cap)
+        dim = sum(sum(map(mul, a[lo:hi + 1], a[lo - degree:hi + 1 - degree])) for a in sinks)
+        if max(hi, hi - degree) < lengths:
+            dim += sum(a[hi] * a[hi - degree] for a in nonsinks)
+        return dim
+
+    def _path_counts(self, cap: int):
+        """The series N_v(l) of the sinks and of the non-sinks, one list
+        per vertex, and their common length, which covers every l <= cap
+        that has a path (a missing l has N_v(l) = 0 for every v).
+
+        One pass per length adds the counts of each edge's source into its
+        range, Theta(|E|) per length.  The series are grown to the largest
+        cap asked and stop at the first length with no path, so on an
+        acyclic graph they cost its longest path, not the cap.
+        """
+        graph = self.graph
+        if self._series is None:
+            counts = [[1] for _ in graph.vertices]
+            sinks = [a for v, a in zip(graph.vertices, counts) if graph.is_sink(v)]
+            nonsinks = [a for v, a in zip(graph.vertices, counts) if not graph.is_sink(v)]
+            self._series = (counts, sinks, nonsinks, [1] * len(counts))
+        counts, sinks, nonsinks, front = self._series
+        if front is not None and len(counts[0]) <= cap:
+            index = {v: i for i, v in enumerate(graph.vertices)}
+            arcs = [(index[e.src], index[e.dst]) for e in graph.edges]
+            while len(counts[0]) <= cap:
+                nxt = [0] * len(front)
+                for s, d in arcs:
+                    nxt[d] += front[s]
+                if not any(nxt):
+                    front = None
+                    break
+                for a, c in zip(counts, nxt):
+                    a.append(c)
+                front = nxt
+            self._series = (counts, sinks, nonsinks, front)
+        return sinks, nonsinks, len(counts[0])
 
     # -- io -------------------------------------------------------------------
 

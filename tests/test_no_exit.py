@@ -5,7 +5,8 @@ condition by one peeling pass.  Here they are compared with the
 definition (every simple cycle, none with an exit) on random and on
 fixed multigraphs, with networkx (when installed) as a second oracle,
 and the iterative path walks are compared with the recursive ones they
-replaced.
+replaced.  The counted graded dimensions of both sides of `dims` are
+compared with listed bases and per-position counts.
 """
 
 import sys
@@ -24,6 +25,7 @@ from leavitt import (
 )
 from leavitt import Monomial, paths_up_to
 from leavitt import graph as graph_module
+from leavitt import lpa as lpa_module
 from leavitt.graph import (
     Cycle,
     Path,
@@ -321,6 +323,90 @@ def test_basis_negative_bound_and_degree_beyond_cap():
         # |degree| > cap: no path pair has that length difference
         assert fresh.basis_monomials(4, 3) == fresh.basis_monomials(-4, 3) == ()
         assert fresh.basis_monomials(9, 2) == ()
+
+
+# -- graded dimensions counted, not listed ------------------------------------------
+
+
+def check_dim_orders(g, asks, cap):
+    """`graded_dim` asked in rising, falling and drawn cap order, each
+    order on one algebra, equals the size of the basis built from a
+    fresh enumeration at that cap."""
+    for order in (sorted(asks, key=cap), sorted(asks, key=cap, reverse=True), asks):
+        algebra = LeavittAlgebra(g)
+        for degree, bound in order:
+            expected = len(basis_from_fresh_paths(algebra, degree, cap((degree, bound))))
+            assert algebra.graded_dim(degree, bound) == expected, (degree, bound)
+
+
+@hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@hypothesis.given(no_exit_multigraphs(), st.lists(st.integers(-5, 5), min_size=1, max_size=6))
+def test_graded_dim_counts_basis_on_no_exit_graphs(g, degrees):
+    check_dim_orders(g, [(d, None) for d in degrees], lambda ask: 2 * len(g.vertices) + abs(ask[0]))
+    # the block side: the shift-difference histogram of each block, over K
+    # for a sink and over K[x^t, x^-t] for a cycle, against one test per
+    # position (i, j); then both sides of `dims` agree
+    report = decompose(LeavittAlgebra(g))
+    for block in report.blocks:
+        M = block.algebra
+        for m in degrees + [d + 7 for d in degrees]:
+            by_position = sum(M.base.has_component(m + sj - si) for si in M.shifts for sj in M.shifts)
+            assert M.hom_component_dim(m) == by_position, (m, M)
+    assert dim_series_check(report, 5).all_equal
+
+
+@hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@hypothesis.given(exit_multigraphs(), bounded_asks(st.integers(-6, 6), st.integers(0, 4)))
+def test_graded_dim_counts_basis_on_graphs_with_exits(g, asks):
+    check_dim_orders(g, asks, lambda ask: ask[1])
+
+
+def test_graded_dim_negative_bound_and_degree_beyond_cap():
+    for g in (build_negative()["rose2"], complete(3), build_corpus()["fedcycle"]):
+        fresh = LeavittAlgebra(g)
+        # nothing counted yet, then after the series reach cap 3
+        assert fresh.graded_dim(0, -1) == fresh.graded_dim(0, -5) == 0
+        assert fresh.graded_dim(2, 3) == len(fresh.basis_monomials(2, 3)) > 0
+        for degree in (-1, 0, 1):
+            assert fresh.graded_dim(degree, -1) == 0
+        # |degree| > cap: no path pair has that length difference
+        assert fresh.graded_dim(4, 3) == fresh.graded_dim(-4, 3) == 0
+        assert fresh.graded_dim(9, 2) == 0
+
+
+def test_path_count_series_stop_at_longest_path():
+    """On an acyclic graph the series end at the longest path, so a huge
+    length bound costs no more than the graph."""
+    line = Graph(["a", "b", "c"], [("x", "a", "b"), ("y", "b", "c")])
+    algebra = LeavittAlgebra(line)
+    assert [algebra.graded_dim(d, 10**6) for d in (-3, -2, 0, 2, 3)] == [0, 1, 3, 1, 0]
+    sinks, nonsinks, lengths = algebra._path_counts(10**6)
+    assert lengths == 3 and sinks == [[1, 1, 1]] and nonsinks == [[1, 0, 0], [1, 1, 0]]
+
+
+def test_graded_dim_lists_no_paths(monkeypatch):
+    """`graded_dim` and `dims` neither enumerate paths nor list a basis."""
+    corpus = dict(build_corpus(), **build_negative())
+    listed = {
+        name: [
+            len(LeavittAlgebra(g).basis_monomials(d, None if no_exit_condition(g) else 3))
+            for d in range(-6, 7)
+        ]
+        for name, g in corpus.items()
+    }
+
+    def forbidden(*args):
+        raise AssertionError("paths listed while counting dimensions")
+
+    monkeypatch.setattr(lpa_module, "paths_up_to", forbidden)
+    monkeypatch.setattr(LeavittAlgebra, "basis_monomials", forbidden)
+    for name, g in corpus.items():
+        ne = no_exit_condition(g)
+        algebra = LeavittAlgebra(g)
+        counted = [algebra.graded_dim(d, None if ne else 3) for d in range(-6, 7)]
+        assert counted == listed[name], name
+        if ne:
+            assert dim_series_check(decompose(algebra), 6).all_equal, name
 
 
 # -- the hot path never enumerates cycles ------------------------------------------
