@@ -9,13 +9,16 @@ includes an --input or --element file that cannot be read or is not
 UTF-8, a graph with no vertices, a vertex or edge id that is neither a
 string nor an integer, JSON nested too deeply to decode, an element path
 ``p`` or ``q`` that is not an array, an element coefficient the field
-cannot parse and an inhomogeneous --element to regular-witness; 2 the
-graph has a cycle with an exit where the command needs the no-exit
-condition, or a usage error reported by argparse (an unknown option,
---field fp:4, a negative --bound or --samples); 3 an internal
-verification replay failed; 4 any other internal error (one ``error:
-internal: ...`` line on stderr, nothing on stdout); 141 (128 + SIGPIPE)
-the reader closed stdout, with nothing on stderr.
+cannot parse, a JSON integer longer than Python converts from text (4300
+digits by default), a coefficient over Q whose numerator or denominator
+would be longer than that ("1e5000", "1e-5000") and an inhomogeneous
+--element to regular-witness; 2 the graph has a cycle with an exit where
+the command needs the no-exit condition, or a usage error reported by
+argparse (an unknown option, --field fp:4, a negative --bound or
+--samples); 3 an internal verification replay failed; 4 any other
+internal error (one ``error: internal: ...`` line on stderr, nothing on
+stdout); 141 (128 + SIGPIPE) the reader closed stdout, with nothing on
+stderr.
 """
 
 from __future__ import annotations
@@ -74,11 +77,13 @@ def _count_arg(text: str) -> int:
 
 
 def _read_json(path: str):
-    """The JSON value in the file; failing to read or decode it is malformed input."""
+    """The JSON value in the file; failing to read or decode it is malformed
+    input.  `ValueError` covers bad UTF-8, bad JSON and an integer longer
+    than Python converts from text (4300 digits by default)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise GraphError(str(exc)) from None
     except RecursionError:
         raise GraphError("JSON nested too deeply") from None
@@ -371,7 +376,7 @@ def main(argv=None) -> int:
         # the reader left; the interpreter's final flush must not fail too
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except (GraphError, json.JSONDecodeError) as exc:
+    except GraphError as exc:
         print(f"error: malformed input: {exc}", file=sys.stderr)
         return 1
     except (ExitConditionError, InfiniteEnumerationError) as exc:

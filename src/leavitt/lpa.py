@@ -17,19 +17,21 @@ distinguished yields a confluent rewriting system, and the surviving
 is that reduction; all arithmetic funnels through it, so equality of
 elements is equality of canonical forms.
 
-Grading: p q* sits in degree len(p) - len(q).  ``graded_dim`` counts the
-admissible monomials of one degree, finitely many in the no-exit case,
-and enumerates nothing: with N_v(l) the number of paths of length l
-ending at v, the pairs of degree d with range v number
-sum_l N_v(l) N_v(l - d), and the inadmissible ones, (p g)(q g)* for the
-distinguished edge g at a non-sink u, number the same sum for u with
-the length cap one shorter, so each non-sink keeps only its top term.
-``basis_monomials`` lists the basis itself.
+Grading: p q* sits in degree len(p) - len(q).  A degree holds finitely
+many admissible monomials in the no-exit case, and one table counts and
+lists them: N_v(l), the number of paths of length l ending at v.  The
+pairs of degree d with range v number sum_l N_v(l) N_v(l - d), and the
+inadmissible ones, (p g)(q g)* for the distinguished edge g at a
+non-sink u, number the same sum for u with the length cap one shorter;
+``graded_dim`` adds these up and enumerates nothing.  ``basis_monomials``
+reads the same counts to skip every class of p with no partner, so it
+builds only the paths of the basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from operator import mul
 
 from .graph import (
@@ -40,7 +42,6 @@ from .graph import (
     concat,
     is_prefix,
     no_exit_condition,
-    paths_up_to,
     strip_prefix,
 )
 from .scalar import Rationals
@@ -99,20 +100,10 @@ class LeavittAlgebra:
         # there as (id, range), in out-edge order), filled by `_reduce`
         # for the edges it rewrites
         self._siblings: dict = {}
-        # paths_up_to(graph, cap) for the largest cap asked so far, split
-        # by length and by (end, length); _by_len[l] holds (p, (end of p,
-        # last edge of p if distinguished else None)) in sorted order, and
-        # a smaller cap reads the lengths up to it
-        self._by_len: list = []
-        self._by_end_len: dict = {}
-        # len q -> {(end, distinguished edge or None): the qs of that end
-        # and length not ending in that edge, sorted}
-        self._partners: dict = {}
         self._basis_cache: dict = {}
-        # (N_v series of every vertex, those of the sinks, those of the
-        # non-sinks, the counts of the last length or None once a length
-        # has no path), built by the first `graded_dim` and grown by
-        # `_path_counts`
+        # (v -> N_v series, v -> in-edges as (source, id, its series), the
+        # sink series, the non-sink series, the counts of the last length or
+        # None once a length has no path), built and grown by `_path_counts`
         self._series = None
 
     # -- element construction -------------------------------------------
@@ -268,48 +259,49 @@ class LeavittAlgebra:
         admissible pair.  With `length_bound`, both paths are capped at
         that length instead (truncated count).
 
-        The pairs are generated, not filtered: p q* is admissible unless
-        p and q end in the same distinguished edge, so the partners of p
-        are the paths of its range and length len(p) - degree minus those
-        ending in p's last edge when that edge is distinguished, one cached
-        list per (range, length, distinguished edge).  Walking p and each
-        partner list in `Path.sort_key` order yields the monomials in
-        `Monomial.sort_key` order, so the cost is the paths of the lengths
-        involved plus the basis size, with no admissibility test.
+        The pairs come from the series N_v(l) of `graded_dim`: the class
+        of p by length lp, range v and last edge e (None for the empty p)
+        has as partners the N_v(lq) paths of length lq = lp - degree into
+        v, less the N_{s(e)}(lq - 1) ending in e when e is distinguished,
+        and builds no path when it has no p or no partner.  Each length's
+        pairs are then sorted by `Monomial.sort_key`.
         """
         cap = self._cap(degree, length_bound)
-        cached = self._basis_cache.get((degree, cap))
-        if cached is not None:
-            return cached
-        if cap >= len(self._by_len):
-            self._index_paths(cap)
+        if (degree, cap) in self._basis_cache:
+            return self._basis_cache[(degree, cap)]
+        _, _, lengths = self._path_counts(cap)
+        series, special, graph = self._series[0], self.special, self.graph
+        ending = cache(self._paths_ending_in)
         out = []
-        for lp in range(max(0, degree), min(cap, cap + degree) + 1):
+        for lp in range(max(0, degree), min(cap, lengths - 1) + min(0, degree) + 1):
             lq = lp - degree
-            partners = self._partners.setdefault(lq, {})
-            for p, cls in self._by_len[lp]:
-                qs = partners.get(cls)
-                if qs is None:
-                    end, last = cls
-                    qs = partners[cls] = tuple(
-                        q for q in self._by_end_len.get((end, lq), ()) if last not in q.edges[-1:]
-                    )
-                if qs:
-                    out.extend([Monomial(p, q) for q in qs])
-        result = tuple(out)
-        self._basis_cache[(degree, cap)] = result
-        return result
+            level = []
+            for v, n in series.items():
+                if not (n[lp] and n[lq]):
+                    continue
+                for e in graph.in_edges(v) if lp else (None,):
+                    skip = e.id if lq and e and e.id in special else None
+                    if skip and n[lq] == series[e.src][lq - 1]:
+                        continue
+                    ps = ending(e, lp) if e else [graph.empty_path(v)]
+                    if ps:
+                        ins = [f for f in graph.in_edges(v) if f.id != skip]
+                        qs = [q for f in ins for q in ending(f, lq)] if lq else [graph.empty_path(v)]
+                        level += [Monomial(p, q) for p in ps for q in qs]
+            level.sort(key=Monomial.sort_key)
+            out += level
+        return self._basis_cache.setdefault((degree, cap), tuple(out))
 
-    def _index_paths(self, cap: int):
-        """Enumerate the paths of length <= cap once and group them."""
-        self._by_len = [[] for _ in range(cap + 1)]
-        self._by_end_len = {}
-        self._partners = {}
-        for p in paths_up_to(self.graph, cap):
-            last = p.edges[-1] if p.edges else None
-            cls = (p.end, last if last in self.special else None)
-            self._by_len[len(p.edges)].append((p, cls))
-            self._by_end_len.setdefault((p.end, len(p.edges)), []).append(p)
+    def _paths_ending_in(self, e, length: int) -> list:
+        """The paths of `length` >= 1 edges with last edge e, grown at the
+        front one edge at a time.  Past s(e) the walk enters a front vertex
+        u with r edges still to add only when N_u(r) > 0, so every path it
+        extends is completed."""
+        into = self._series[1]
+        level = [(e.src, (e.id,))]
+        for r in range(length - 2, -1, -1):
+            level = [(s, (f,) + edges) for u, edges in level for s, f, n in into[u] if n[r]]
+        return [Path(base, edges, e.dst) for base, edges in level]
 
     def _cap(self, degree: int, length_bound) -> int:
         """The path length cap of one degree: 2 * (number of vertices) +
@@ -361,26 +353,30 @@ class LeavittAlgebra:
         """
         graph = self.graph
         if self._series is None:
-            counts = [[1] for _ in graph.vertices]
-            sinks = [a for v, a in zip(graph.vertices, counts) if graph.is_sink(v)]
-            nonsinks = [a for v, a in zip(graph.vertices, counts) if not graph.is_sink(v)]
-            self._series = (counts, sinks, nonsinks, [1] * len(counts))
-        counts, sinks, nonsinks, front = self._series
-        if front is not None and len(counts[0]) <= cap:
+            vs = graph.vertices
+            series = {v: [1] for v in vs}
+            into = {v: tuple((e.src, e.id, series[e.src]) for e in graph.in_edges(v)) for v in vs}
+            sinks = [series[v] for v in vs if graph.is_sink(v)]
+            nonsinks = [series[v] for v in vs if not graph.is_sink(v)]
+            self._series = (series, into, sinks, nonsinks, [1] * len(series))
+        series, into, sinks, nonsinks, front = self._series
+        lengths = len(series[graph.vertices[0]])
+        if front is not None and lengths <= cap:
             index = {v: i for i, v in enumerate(graph.vertices)}
             arcs = [(index[e.src], index[e.dst]) for e in graph.edges]
-            while len(counts[0]) <= cap:
+            while lengths <= cap:
                 nxt = [0] * len(front)
                 for s, d in arcs:
                     nxt[d] += front[s]
                 if not any(nxt):
                     front = None
                     break
-                for a, c in zip(counts, nxt):
+                for a, c in zip(series.values(), nxt):
                     a.append(c)
                 front = nxt
-            self._series = (counts, sinks, nonsinks, front)
-        return sinks, nonsinks, len(counts[0])
+                lengths += 1
+            self._series = (series, into, sinks, nonsinks, front)
+        return sinks, nonsinks, lengths
 
     # -- io -------------------------------------------------------------------
 

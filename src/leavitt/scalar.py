@@ -21,6 +21,8 @@ column operations, using the Euclidean width max(exp) - min(exp).
 
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
 
 
@@ -59,6 +61,16 @@ def _check_coefficient(s) -> None:
     (1.5, 0.1) has already lost its decimal text."""
     if isinstance(s, bool) or not isinstance(s, (str, int)):
         raise ValueError(f"a coefficient must be a string or an integer, not {s!r}")
+
+
+# the exponent of a decimal coefficient such as "1.5e-3"
+_EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)\s*\Z")
+
+
+def _max_digits() -> int:
+    """The digit bound on coefficients: Python's limit on converting an
+    int to text, or that limit's default of 4300 where it is off or absent."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
 
 
 class TriviallyGradedField:
@@ -126,8 +138,18 @@ class Rationals(TriviallyGradedField):
         return a == 0
 
     def parse(self, s):
+        """An exact rational from a string or an integer; one whose
+        numerator or denominator has more digits than `str` writes is
+        refused.  A decimal exponent beyond that limit plus the length of
+        the text is refused before the value is built, since 10**exponent
+        alone would take seconds."""
         _check_coefficient(s)
-        return Fraction(s)
+        m = _EXPONENT.search(s) if isinstance(s, str) else None
+        if m and abs(int(m.group(1))) > _max_digits() + len(s):
+            raise ValueError("decimal exponent too large for an exact coefficient")
+        a = Fraction(s)
+        str(a)  # raises ValueError past the digit limit
+        return a
 
     def format(self, a) -> str:
         return str(a)

@@ -4,6 +4,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -109,7 +110,20 @@ def _assert_malformed(code, out, err):
 
 @pytest.mark.parametrize(
     "coeff, field",
-    [("abc", "q"), ("1/0", "q"), ("1.5", "fp:7"), (1.5, "fp:7"), (0.1, "q"), (True, "q")],
+    [
+        ("abc", "q"),
+        ("1/0", "q"),
+        ("1.5", "fp:7"),
+        (1.5, "fp:7"),
+        (0.1, "q"),
+        (True, "q"),
+        # over Q, more than 4300 digits in the numerator or denominator:
+        # refused when read, not when the report is written
+        ("1e5000", "q"),
+        ("1e-5000", "q"),
+        ("1e4300", "q"),
+        ("-7e-4300", "q"),
+    ],
     ids=[
         "not-a-number",
         "zero-denominator",
@@ -117,6 +131,10 @@ def _assert_malformed(code, out, err):
         "json-float-over-fp",
         "json-float-over-q",
         "json-bool",
+        "exponent-past-digit-limit",
+        "negative-exponent-past-digit-limit",
+        "numerator-one-digit-over",
+        "denominator-one-digit-over",
     ],
 )
 def test_unparsable_coefficient_is_exit_1(tmp_path, capsys, coeff, field):
@@ -126,6 +144,50 @@ def test_unparsable_coefficient_is_exit_1(tmp_path, capsys, coeff, field):
     )
     argv = ["regular-witness", "--input", p, "--element", elem, "--field", field]
     _assert_malformed(*run_main(capsys, argv))
+
+
+def test_huge_exponent_is_refused_at_once(tmp_path, capsys):
+    """"1e10000000" is refused from its exponent: building the value first
+    took seconds."""
+    p = write_graph(tmp_path, build_corpus()["loop"])
+    elem = _element_file(
+        tmp_path, [{"p": ["c"], "p_base": "v1", "q": [], "q_base": "v1", "coeff": "1e10000000"}]
+    )
+    start = time.perf_counter()
+    result = run_main(capsys, ["regular-witness", "--input", p, "--element", elem])
+    assert time.perf_counter() - start < 1
+    _assert_malformed(*result)
+
+
+@pytest.mark.parametrize("target", ["input", "element"])
+def test_overlong_json_integer_is_exit_1(tmp_path, capsys, target):
+    """An integer longer than Python converts from text (4300 digits by
+    default) fails inside the JSON decoder; anywhere in either file it is
+    malformed input."""
+    big = "1" * 5000
+    p = write_graph(tmp_path, build_corpus()["loop"])
+    if target == "input":
+        bad = tmp_path / "big.json"
+        bad.write_text('{"vertices": ["v1"], "edges": [], "note": %s}' % big)
+        argv = ["classify", "--input", str(bad)]
+    else:
+        elem = tmp_path / "elem.json"
+        elem.write_text('[{"p": ["c"], "p_base": "v1", "q": [], "q_base": "v1", "coeff": %s}]' % big)
+        argv = ["regular-witness", "--input", p, "--element", str(elem)]
+    _assert_malformed(*run_main(capsys, argv))
+
+
+def test_coefficient_at_the_digit_limit_is_read(tmp_path, capsys):
+    """Just inside the limit, the coefficient and its inverse print in full."""
+    p = write_graph(tmp_path, build_corpus()["loop"])
+    elem = _element_file(
+        tmp_path, [{"p": ["c"], "p_base": "v1", "q": [], "q_base": "v1", "coeff": "1e4299"}]
+    )
+    code, out, err = run_main(capsys, ["regular-witness", "--input", p, "--element", elem])
+    assert (code, err) == (0, "")
+    (witness,) = json.loads(out)["witnesses"]
+    assert witness["element"][0]["coeff"] == "1" + "0" * 4299
+    assert witness["inverse"][0]["coeff"] == "1/1" + "0" * 4299
 
 
 COMMANDS = (

@@ -25,7 +25,6 @@ from leavitt import (
 )
 from leavitt import Monomial, paths_up_to
 from leavitt import graph as graph_module
-from leavitt import lpa as lpa_module
 from leavitt.graph import (
     Cycle,
     Path,
@@ -325,6 +324,33 @@ def test_basis_negative_bound_and_degree_beyond_cap():
         assert fresh.basis_monomials(9, 2) == ()
 
 
+def test_basis_listing_builds_only_basis_paths(monkeypatch):
+    """Work pin: on a 200-cycle each degree -3..3 has 200 monomials, and
+    listing them builds one path per monomial with p or q nonempty (1200
+    paths, 2400 edge ids) and never enumerates paths by length (the full
+    enumeration held about 80800 paths per cap)."""
+    def forbidden(*args):
+        raise AssertionError("paths_up_to called while listing a basis")
+
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "leavitt"]:
+        if vars(module).get("paths_up_to") is graph_module.paths_up_to:
+            monkeypatch.setattr(module, "paths_up_to", forbidden)
+    built = {"calls": 0, "paths": 0, "edges": 0}
+    paths_ending_in = LeavittAlgebra._paths_ending_in
+
+    def counting(self, e, length):
+        out = paths_ending_in(self, e, length)
+        built["calls"] += 1
+        built["paths"] += len(out)
+        built["edges"] += sum(len(p.edges) for p in out)
+        return out
+
+    monkeypatch.setattr(LeavittAlgebra, "_paths_ending_in", counting)
+    algebra = LeavittAlgebra(big_cycle(200))
+    assert [len(algebra.basis_monomials(d)) for d in range(-3, 4)] == [200] * 7
+    assert built == {"calls": 1200, "paths": 1200, "edges": 2400}
+
+
 # -- graded dimensions counted, not listed ------------------------------------------
 
 
@@ -398,7 +424,7 @@ def test_graded_dim_lists_no_paths(monkeypatch):
     def forbidden(*args):
         raise AssertionError("paths listed while counting dimensions")
 
-    monkeypatch.setattr(lpa_module, "paths_up_to", forbidden)
+    monkeypatch.setattr(LeavittAlgebra, "_paths_ending_in", forbidden)
     monkeypatch.setattr(LeavittAlgebra, "basis_monomials", forbidden)
     for name, g in corpus.items():
         ne = no_exit_condition(g)

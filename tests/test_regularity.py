@@ -1,6 +1,8 @@
 """Inner inverses, graded regularity witnesses, idempotent classification."""
 
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -323,6 +325,43 @@ def test_sample_homogeneous_determinism():
     b = sample_homogeneous(A, random.Random(42))
     assert a == b
     assert not a.is_zero() and a.degree() is not None
+
+
+def _cycle(n):
+    vs = [f"v{i}" for i in range(n)]
+    return Graph(vs, [(f"e{i}", vs[i], vs[(i + 1) % n]) for i in range(n)])
+
+
+def _fed_cycle(tail, n):
+    us, cs = [f"u{i}" for i in range(tail)], [f"c{i}" for i in range(n)]
+    chain = us + ["c0"]
+    edges = [(f"h{i}", chain[i], chain[i + 1]) for i in range(tail)]
+    return Graph(us + cs, edges + [(f"k{i}", cs[i], cs[(i + 1) % n]) for i in range(n)])
+
+
+def _line(n):
+    vs = [f"v{i}" for i in range(n)]
+    return Graph(vs, [(f"e{i}", vs[i], vs[i + 1]) for i in range(n - 1)])
+
+
+# sha256 of json.dumps([a.to_json() for the 20 elements a drawn over Q by
+# sample_homogeneous with random.Random(0)]), recorded while
+# basis_monomials still cut each basis from a full path enumeration
+@pytest.mark.parametrize(
+    "graph, digest",
+    [
+        (_cycle(40), "09d8df601103b0bb62f1cc7697714393c1170e49d0010fbf052c4bb6a6264c1f"),
+        (_fed_cycle(30, 5), "df1ad30e1def42e702af9a449871457d1e18949ee8a911fbce7708fa82910e70"),
+        (_line(60), "0d6f267385be443c6750ac9c20b671a8eaec2588d9dbb5ad2ccee23469ee2918"),
+    ],
+    ids=["cycle40", "fed30_5", "line60"],
+)
+def test_sample_homogeneous_frozen_on_larger_graphs(graph, digest):
+    """Sampling draws its terms from `basis_monomials`, so these pin the
+    basis order on graphs larger than the corpus."""
+    A, rng = LeavittAlgebra(graph), random.Random(0)
+    draws = [sample_homogeneous(A, rng).to_json() for _ in range(20)]
+    assert hashlib.sha256(json.dumps(draws).encode()).hexdigest() == digest
 
 
 # -- the sparse one-pass inverses against the dense routes they replaced -------------

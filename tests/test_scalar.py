@@ -41,6 +41,20 @@ def test_rationals_parse_decimal_string_exactly():
     assert Rationals().parse("0.1") == Fraction(1, 10)
 
 
+def test_rationals_parse_refuses_what_format_cannot_write():
+    """Numerator and denominator may have as many digits as `str` writes
+    for an int (4300 by default) and no more; an exponent far past that is
+    refused before the value is built."""
+    Q = Rationals()
+    limit = scalar._max_digits()
+    assert Q.format(Q.parse(f"1e{limit - 1}")) == "1" + "0" * (limit - 1)
+    assert Q.format(Q.parse(f"-3e-{limit - 1}")) == "-3/1" + "0" * (limit - 1)
+    assert Q.parse(f"{'9' * limit}/7") == Fraction(10**limit - 1, 7)
+    for text in (f"1e{limit}", f"1e-{limit}", "1e5000", "-2.5E-5000", "1e10000000", 10**limit):
+        with pytest.raises(ValueError):
+            Q.parse(text)
+
+
 def test_prime_field():
     F = PrimeField(5)
     assert F.invert(2) == 3

@@ -6,7 +6,6 @@ import random
 import pytest
 
 from corpus import build_corpus, build_negative
-from leavitt import lpa as lpa_module
 from leavitt import (
     ExitConditionError,
     Graph,
@@ -409,8 +408,8 @@ def test_dim_series_all_corpus():
 def test_dim_series_work_count_fed_cycle(monkeypatch):
     """Work gate for the algebra side of `dims`: on a 3-cycle fed by a
     5-edge tail, degrees -10..10 count the 448 admissible monomials from
-    the path-count series, with no path enumeration and no admissibility
-    test (listing the basis enumerated the paths once per algebra;
+    the path-count series, with no path built and no admissibility test
+    (listing the basis enumerated the paths once per algebra;
     filtering every same-range pair made 6766 tests)."""
     tail, cycle = [f"u{i}" for i in range(5)], ["c0", "c1", "c2"]
     chain = tail + ["c0"]
@@ -418,24 +417,24 @@ def test_dim_series_work_count_fed_cycle(monkeypatch):
     edges += [(f"k{i}", cycle[i], cycle[(i + 1) % 3]) for i in range(3)]
     g = Graph(tail + cycle, edges)
     reports = [decompose(LeavittAlgebra(g, field)) for field in (Rationals(), PrimeField(1000003))]
-    counts = {"is_admissible": 0, "paths_up_to": 0}
-    is_admissible, paths_up_to = LeavittAlgebra.is_admissible, lpa_module.paths_up_to
+    counts = {"is_admissible": 0, "paths_ending_in": 0}
+    is_admissible, paths_ending_in = LeavittAlgebra.is_admissible, LeavittAlgebra._paths_ending_in
 
     def counting_is_admissible(self, m):
         counts["is_admissible"] += 1
         return is_admissible(self, m)
 
-    def counting_paths_up_to(graph, cap):
-        counts["paths_up_to"] += 1
-        return paths_up_to(graph, cap)
+    def counting_paths_ending_in(self, e, length):
+        counts["paths_ending_in"] += 1
+        return paths_ending_in(self, e, length)
 
     monkeypatch.setattr(LeavittAlgebra, "is_admissible", counting_is_admissible)
-    monkeypatch.setattr(lpa_module, "paths_up_to", counting_paths_up_to)
+    monkeypatch.setattr(LeavittAlgebra, "_paths_ending_in", counting_paths_ending_in)
     for report in reports:
         series = dim_series_check(report, 10)
         assert series.all_equal
         assert sum(lhs for _, lhs, _ in series.rows) == 448
-        assert counts == {"is_admissible": 0, "paths_up_to": 0}
+        assert counts == {"is_admissible": 0, "paths_ending_in": 0}
 
 
 def test_dim_series_json():
