@@ -29,6 +29,7 @@ import json
 import os
 import random
 import sys
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 from .graph import Graph, GraphError, InfiniteEnumerationError
@@ -113,12 +114,41 @@ def _flat_encoder(depth):
     return json.JSONEncoder(separators=(sep, ": "), sort_keys=True).encode
 
 
+# the C encoder for a list of flat dicts: a newline between items and
+# between the keys of one item, no indentation
+_encode_dict_list = json.JSONEncoder(separators=("\n", ": "), sort_keys=True).encode
+
+
+def _flat_dicts(dicts) -> bool:
+    """Are these dicts all non-empty, with str keys and scalar values?
+    (The value test, which most other lists of dicts fail, comes first.)"""
+    return (
+        set(map(type, chain.from_iterable(map(dict.values, dicts)))) <= _SCALAR_TYPES
+        and set(map(type, chain.from_iterable(dicts))) == {str}
+        and all(dicts)
+    )
+
+
+def _dict_list_text(items, indent):
+    r"""The indented text of a non-empty list of flat dicts, from one
+    C-encoder call; `indent` is the newline and indentation of the line
+    the list opens on.  Encoded strings are ASCII-escaped, so they hold
+    no raw newline: in the encoder's text, "}\n{" is a boundary between
+    items and every other newline separates two keys of one item."""
+    item = indent + "  "
+    key = item + "  "
+    body = _encode_dict_list(items)[2:-2]
+    body = body.replace("\n", "," + key).replace("}," + key + "{", item + "}," + item + "{" + key)
+    return "[" + item + "{" + key + body + item + "}" + indent + "]"
+
+
 def _json_text(obj):
     """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte.
 
     The stdlib's indented encoding is pure Python.  Here containers are
-    walked in Python and every dict or list of scalars is one C-encoder
-    call; the pieces are joined once at the end.
+    walked in Python, every dict or list of scalars is one C-encoder call,
+    and so is every list of flat dicts (str keys, scalar values), such as
+    the checks of ``verify-iso``; the pieces are joined once at the end.
     """
     chunks = []
     _encode_into(chunks, obj, 0)
@@ -135,11 +165,15 @@ def _encode_into(chunks, obj, depth):
         return
     indent = "\n" + "  " * depth
     inner = indent + "  "
-    if set(map(type, obj.values() if is_dict else obj)) <= _SCALAR_TYPES:
+    kinds = set(map(type, obj.values() if is_dict else obj))
+    if kinds <= _SCALAR_TYPES:
         text = _flat_encoder(depth)(obj)
         chunks += (text[0], inner, text[1:-1], indent, text[-1])
         return
     if not is_dict:
+        if kinds == {dict} and _flat_dicts(obj):
+            chunks.append(_dict_list_text(obj, indent))
+            return
         chunks.append("[")
         for v in obj:
             chunks.append(inner)

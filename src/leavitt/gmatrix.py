@@ -14,7 +14,9 @@ counted per position.
 
 A matrix is the sum of its matrix units: one dict maps a position (i, j)
 to its nonzero entry, so products, sums, comparisons and the grading
-tests cost O(nonzeros) with no term in n.  A product of two monomial
+tests cost O(nonzeros) with no term in n.  Every product of unit dicts
+goes through ``unit_product``, against the right factor's row index,
+which a matrix builds once and keeps.  A product of two monomial
 matrices (at most one nonzero per row and column, as every generator
 image is) visits at most n pairs.  ``rows`` and ``entries`` are views
 built on demand for row elimination and for routines on a full grid.
@@ -39,6 +41,42 @@ def _add_into(d: dict, key, x, add, is_zero) -> None:
         del d[key]
     else:
         d[key] = s
+
+
+def index_rows(units: dict) -> dict:
+    """The row index of a unit dict: k -> [(j, y), ...] over the stored
+    (k, j) entries y, in dict order."""
+    rows = {}
+    for (k, j), y in units.items():
+        rows.setdefault(k, []).append((j, y))
+    return rows
+
+
+def unit_product(left: dict, right_rows: dict, mul, add, is_zero) -> dict:
+    """The unit dict of a product: entry (i, j) sums mul(x, y) over the
+    stored x at (i, k) in `left` and the (j, y) in `right_rows[k]`, the
+    row index of the right factor (`index_rows`).  The base rings are
+    domains, so a product of two stored entries is never zero; only a
+    sum can cancel, and then its entry is deleted.  `is_zero` runs only
+    on such sums, so a product of monomial matrices tests nothing."""
+    out = {}
+    for (i, k), x in left.items():
+        row = right_rows.get(k)
+        if row is None:
+            continue
+        for j, y in row:
+            key = i, j
+            z = mul(x, y)
+            prev = out.get(key)
+            if prev is None:
+                out[key] = z
+                continue
+            z = add(prev, z)
+            if is_zero(z):
+                del out[key]
+            else:
+                out[key] = z
+    return out
 
 
 class GradedMatrixAlgebra:
@@ -174,14 +212,24 @@ class GradedMatrix:
     Every operation builds a new dict; none is changed after
     construction.  The base rings are domains (fields and Laurent rings
     over them), so a product of two stored entries is never zero and only
-    a sum can cancel.
+    a sum can cancel.  The row index of `units`, which every product with
+    this matrix on the right reads, is built on first read and kept.
     """
 
-    __slots__ = ("algebra", "units")
+    __slots__ = ("algebra", "units", "_row_index")
 
     def __init__(self, algebra: GradedMatrixAlgebra, units: dict):
         self.algebra = algebra
         self.units = units
+        self._row_index = None
+
+    @property
+    def row_index(self) -> dict:
+        """k -> [(j, y), ...] over the stored (k, j) entries (`index_rows`)."""
+        rows = self._row_index
+        if rows is None:
+            rows = self._row_index = index_rows(self.units)
+        return rows
 
     def entry(self, i: int, j: int):
         n = self.algebra.n
@@ -231,18 +279,13 @@ class GradedMatrix:
 
     def __mul__(self, other):
         """Entry (i, j) sums x * y over the stored x at (i, k) and y at
-        (k, j); the right factor is indexed by row once per product."""
+        (k, j): `unit_product` on this matrix's units and the right
+        factor's row index, which that matrix builds once and keeps."""
         self._check_same(other)
         b = self.algebra.base
-        add, is_zero, mul = b.add, b.is_zero, b.mul
-        right = {}
-        for (k, j), y in other.units.items():
-            right.setdefault(k, []).append((j, y))
-        units = {}
-        for (i, k), x in self.units.items():
-            for j, y in right.get(k, ()):
-                _add_into(units, (i, j), mul(x, y), add, is_zero)
-        return GradedMatrix(self.algebra, units)
+        return GradedMatrix(
+            self.algebra, unit_product(self.units, other.row_index, b.mul, b.add, b.is_zero)
+        )
 
     def scale(self, x) -> "GradedMatrix":
         b = self.algebra.base

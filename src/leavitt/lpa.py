@@ -31,7 +31,6 @@ builds only the paths of the basis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from operator import mul
 
 from .graph import (
@@ -101,6 +100,8 @@ class LeavittAlgebra:
         # for the edges it rewrites
         self._siblings: dict = {}
         self._basis_cache: dict = {}
+        # (edge id, length) -> the paths of that length ending in that edge
+        self._ending_cache: dict = {}
         # (v -> N_v series, v -> in-edges as (source, id, its series), the
         # sink series, the non-sink series, the counts of the last length or
         # None once a length has no path), built and grown by `_path_counts`
@@ -271,7 +272,7 @@ class LeavittAlgebra:
             return self._basis_cache[(degree, cap)]
         _, _, lengths = self._path_counts(cap)
         series, special, graph = self._series[0], self.special, self.graph
-        ending = cache(self._paths_ending_in)
+        ending = self._paths_ending
         out = []
         for lp in range(max(0, degree), min(cap, lengths - 1) + min(0, degree) + 1):
             lq = lp - degree
@@ -291,6 +292,15 @@ class LeavittAlgebra:
             level.sort(key=Monomial.sort_key)
             out += level
         return self._basis_cache.setdefault((degree, cap), tuple(out))
+
+    def _paths_ending(self, e, length: int) -> list:
+        """`_paths_ending_in`, memoised per algebra on (edge id, length):
+        the degrees that `basis_monomials` lists share their long paths."""
+        key = e.id, length
+        paths = self._ending_cache.get(key)
+        if paths is None:
+            paths = self._ending_cache[key] = self._paths_ending_in(e, length)
+        return paths
 
     def _paths_ending_in(self, e, length: int) -> list:
         """The paths of `length` >= 1 edges with last edge e, grown at the

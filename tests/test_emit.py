@@ -1,8 +1,9 @@
 """The JSON emitter writes the bytes of json.dumps(indent=2, sort_keys=True).
 
-`cli._json_text` encodes every dict or list of scalars with the C encoder
-and walks the containers around them; here it is compared with the
-stdlib call on random JSON trees, and every command of the CLI is run on
+`cli._json_text` encodes every dict or list of scalars, and every list of
+flat dicts, with the C encoder and walks the containers around them; here
+it is compared with the stdlib call on random JSON trees and on random
+lists of flat dicts, and every command of the CLI is run on
 the test corpus with the JSON branch of `_emit` switched back to the
 stdlib call.
 """
@@ -86,6 +87,9 @@ def test_json_text_matches_stdlib(obj):
         {2: [1], 1: {"z": None}, 3: "c"},
         {True: 1, None: [2], 1.5: "x"},
         [{"deep": [[[[{"deeper": [1, [2, [3]]]}]]]]}],
+        [{"relation": "r", "instance": "}\n{", "passed": True}, {"relation": "r", "instance": "a,b", "passed": False}],
+        {"checks": [{"z": None, "a": float("nan")}, {"{": "}"}], "total": 2},
+        [{"a": 1}, {}, {"b": [2]}],
         "top-level string",
         -0.0,
         None,
@@ -95,8 +99,57 @@ def test_json_text_examples(obj):
     assert outcome(cli._json_text, obj) == outcome(stdlib_text, obj)
 
 
+# lists of flat dicts (str keys, scalar values) are one C-encoder call whose
+# newlines are re-indented by text replacement; their strings hold the
+# separators that replacement looks for, escaped
+brace_texts = st.one_of(
+    texts,
+    st.sampled_from(["}\n{", "},\n{", "}", "{", "}{", "\\n", '"}\n{"', "é}\n{中", "\n  "]),
+    st.lists(st.sampled_from(["}", "{", "\n", ",", " ", "\\", '"', ":", "é", "😀"]), max_size=6).map("".join),
+)
+flat_scalars = st.one_of(st.none(), st.booleans(), ints, floats, brace_texts)
+flat_dicts = st.dictionaries(brace_texts, flat_scalars, min_size=1, max_size=4)
+odd_items = st.one_of(
+    st.just({}),
+    st.dictionaries(brace_texts, json_trees, min_size=1, max_size=3),
+    st.dictionaries(st.one_of(ints, st.booleans(), st.none(), floats), flat_scalars, min_size=1, max_size=3),
+    st.dictionaries(key_kinds, flat_scalars, min_size=2, max_size=3),
+    flat_scalars,
+)
+
+
+@st.composite
+def dict_lists(draw):
+    """A list of flat dicts, or one with an empty, nested, non-str-keyed or
+    scalar item put in, as a tuple or a list, placed at depth 0 to 2."""
+    items = draw(st.lists(flat_dicts, min_size=1, max_size=6))
+    if draw(st.booleans()):
+        items.insert(draw(st.integers(0, len(items))), draw(odd_items))
+    if draw(st.booleans()):
+        items = tuple(items)
+    return draw(st.sampled_from([
+        lambda x: x,
+        lambda x: {"checks": x, "total": len(x)},
+        lambda x: [x, {"deeper": [x]}],
+    ]))(items)
+
+
+@hypothesis.settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@hypothesis.given(dict_lists())
+def test_dict_list_text_matches_stdlib(obj):
+    assert outcome(cli._json_text, obj) == outcome(stdlib_text, obj)
+
+
 def test_json_text_rejects_what_stdlib_rejects():
-    for obj in ({"a": [object()]}, {(1, 2): "tuple key"}, [{1: 1, "a": 2}], {"s": {1}}):
+    for obj in (
+        {"a": [object()]},
+        {(1, 2): "tuple key"},
+        [{1: 1, "a": 2}],
+        {"s": {1}},
+        [{"a": 1}, {"b": object()}],
+        [{"a": 1}, {"b": 10**5000}],
+        {"checks": [{"a": "x"}, {2: "y", "b": "z"}]},
+    ):
         expected = outcome(stdlib_text, obj)
         assert isinstance(expected, tuple)
         assert outcome(cli._json_text, obj) == expected

@@ -326,9 +326,11 @@ def test_basis_negative_bound_and_degree_beyond_cap():
 
 def test_basis_listing_builds_only_basis_paths(monkeypatch):
     """Work pin: on a 200-cycle each degree -3..3 has 200 monomials, and
-    listing them builds one path per monomial with p or q nonempty (1200
-    paths, 2400 edge ids) and never enumerates paths by length (the full
-    enumeration held about 80800 paths per cap)."""
+    listing them builds each path of length 1..3 once (600 paths, 1200 edge
+    ids), since one algebra keeps the paths it built for every degree, and
+    never enumerates paths by length (the full enumeration held about 80800
+    paths per cap).  With the paths kept per listing only, the seven
+    degrees built 1200 paths holding 2400 edge ids."""
     def forbidden(*args):
         raise AssertionError("paths_up_to called while listing a basis")
 
@@ -348,7 +350,7 @@ def test_basis_listing_builds_only_basis_paths(monkeypatch):
     monkeypatch.setattr(LeavittAlgebra, "_paths_ending_in", counting)
     algebra = LeavittAlgebra(big_cycle(200))
     assert [len(algebra.basis_monomials(d)) for d in range(-3, 4)] == [200] * 7
-    assert built == {"calls": 1200, "paths": 1200, "edges": 2400}
+    assert built == {"calls": 600, "paths": 600, "edges": 1200}
 
 
 # -- graded dimensions counted, not listed ------------------------------------------

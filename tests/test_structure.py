@@ -2,14 +2,16 @@
 
 import dataclasses
 import random
+import sys
+from collections import Counter
 
 import pytest
 
 from corpus import build_corpus, build_negative
+from leavitt import gmatrix
 from leavitt import (
     ExitConditionError,
     Graph,
-    GradedMatrix,
     LaurentRing,
     LeavittAlgebra,
     PrimeField,
@@ -231,15 +233,29 @@ def test_generator_tables_are_apply_on_generators(name, field):
     assert images.ghosts == {e.id: images.apply(A.ghost(e.id)) for e in g.edges}
 
 
+def _patch_everywhere(monkeypatch, original, replacement):
+    """Replace `original` in every leavitt module namespace that holds it."""
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "leavitt"]:
+        for attr, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, attr, replacement)
+
+
 def _replay_work(monkeypatch, n):
-    """(matrix products, base-field multiplications, base-field zero tests)
-    of the relation replay on an n-vertex line: one sink block of size n."""
+    """(unit products, base-field multiplications, base-field zero tests)
+    of the relation replay on an n-vertex line: one sink block of size n.
+    A unit product is one call of the kernel `gmatrix.unit_product`, which
+    `verify_phi` runs once per block of every relation product.  Also
+    checks that the replay builds each image's row index exactly once and
+    that a second replay builds none."""
     vs = [f"v{i}" for i in range(n)]
     g = Graph(vs, [(f"e{i}", vs[i], vs[i + 1]) for i in range(n - 1)])
     images = phi(decompose(LeavittAlgebra(g, Rationals())))
-    images.vertices, images.edges, images.ghosts  # build the tables before counting
+    tables = (images.vertices, images.edges, images.ghosts)  # built before counting
     counts = {"mul": 0, "products": 0, "is_zero": 0}
-    field_mul, field_is_zero, matrix_mul = Rationals.mul, Rationals.is_zero, GradedMatrix.__mul__
+    built = Counter()
+    field_mul, field_is_zero = Rationals.mul, Rationals.is_zero
+    kernel, index_rows = gmatrix.unit_product, gmatrix.index_rows
 
     def counting_field_mul(self, a, b):
         counts["mul"] += 1
@@ -249,15 +265,25 @@ def _replay_work(monkeypatch, n):
         counts["is_zero"] += 1
         return field_is_zero(self, a)
 
-    def counting_matrix_mul(self, other):
+    def counting_kernel(*args):
         counts["products"] += 1
-        return matrix_mul(self, other)
+        return kernel(*args)
+
+    def counting_index_rows(units):
+        built[id(units)] += 1
+        return index_rows(units)
 
     monkeypatch.setattr(Rationals, "mul", counting_field_mul)
     monkeypatch.setattr(Rationals, "is_zero", counting_is_zero)
-    monkeypatch.setattr(GradedMatrix, "__mul__", counting_matrix_mul)
+    _patch_everywhere(monkeypatch, kernel, counting_kernel)
+    _patch_everywhere(monkeypatch, index_rows, counting_index_rows)
     assert verify_phi(images).all_passed
-    return counts["products"], counts["mul"], counts["is_zero"]
+    work = counts["products"], counts["mul"], counts["is_zero"]
+    image_units = {id(m.units) for table in tables for mats in table.values() for m in mats}
+    assert set(built) == image_units and set(built.values()) == {1}
+    assert verify_phi(images).all_passed
+    assert sum(built.values()) == len(image_units)
+    return work
 
 
 def test_verify_phi_multiplication_count_line_12(monkeypatch):
