@@ -452,15 +452,16 @@ def factor_through_cycle(g: Graph, c: Cycle, p: Path):
     """Factor a path ending at c.base as q . c^k with q cycle-free.
 
     Returns (q, k).  Strips copies of the based cycle from the right; the
-    remainder contains no full copy, and the factorization is unique.
+    remainder contains no full copy, and the factorization is unique.  The
+    copies are matched by moving an end index back t edges at a time, and
+    q is sliced once, so the cost is linear in len(p).
     """
     if p.end != c.base:
         raise GraphError(f"path does not end at the cycle base {c.base}")
     cyc = c.path.edges
     t = len(cyc)
     edges = p.edges
-    k = 0
-    while len(edges) >= t and edges[-t:] == cyc:
-        edges = edges[:-t]
-        k += 1
-    return Path(p.base, edges, c.base), k
+    end = len(edges)
+    while end >= t and edges[end - t:end] == cyc:
+        end -= t
+    return Path(p.base, edges[:end], c.base), (len(edges) - end) // t

@@ -17,6 +17,14 @@ distinguished yields a confluent rewriting system, and the surviving
 is that reduction; all arithmetic funnels through it, so equality of
 elements is equality of canonical forms.
 
+Normal forms and products are linear in path length.  A step down a
+distinguished edge that is the only edge out of its source rewrites
+p g (q g)* to p q* and nothing else, so `_reduce` jumps a run of such
+steps with one slice whenever no other term can lie on it; a product
+walks one trie of the right factor's paths per left term.  So one term
+of length L costs O(L), where slicing and hashing a key per edge or per
+prefix would cost Theta(L^2).
+
 Grading: p q* sits in degree len(p) - len(q).  A degree holds finitely
 many admissible monomials in the no-exit case, and one table counts and
 lists them: N_v(l), the number of paths of length l ending at v.  The
@@ -30,6 +38,7 @@ builds only the paths of the basis.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from operator import mul
 
@@ -96,8 +105,8 @@ class LeavittAlgebra:
         self.field = field if field is not None else Rationals()
         self.special = frozenset(special_edges(graph).values())
         # distinguished edge g -> (its source, the other outgoing edges
-        # there as (id, range), in out-edge order), filled by `_reduce`
-        # for the edges it rewrites
+        # there as (id, range), in out-edge order), filled by
+        # `_sibling_entry` for the edges `_reduce` rewrites or walks
         self._siblings: dict = {}
         self._basis_cache: dict = {}
         # (edge id, length) -> the paths of that length ending in that edge
@@ -181,6 +190,19 @@ class LeavittAlgebra:
         whose natural order is `Monomial.sort_key` order.  A `Monomial`
         is built only for each surviving key that did not come from
         `raw`; one that did keeps its input object.
+
+        A step whose g is the only edge out of v puts p q* alone.  When
+        the n >= 2 last edges that p and q share are all such edges (a
+        sibling-free run), the n - 1 steps down to the last key of the run
+        are jumped with one slice: that key is queued at its level, n - 1
+        steps are counted, and its own step runs in its turn, so terms,
+        dict order and step count are those of one step per edge.  The
+        jump is safe when no other term can meet a skipped key.  Every key
+        of the run has the start's (p.base, q.base, len p - len q), and
+        only a non-admissible input key of that signature can reach one,
+        so the run jumps when its signature has one such input key; the
+        signatures are counted once per call, at its first run of two or
+        more edges.  A call with no such run does no extra work.
         """
         field = self.field
         add, neg, is_zero = field.add, field.neg, field.is_zero
@@ -209,6 +231,9 @@ class LeavittAlgebra:
                 terms[k] = acc
 
         steps = 0
+        # (p.base, q.base, len p - len q) -> how many non-admissible input
+        # keys have that signature, counted at the first run that could jump
+        runs = None
         for level in range(max(levels, default=0), 0, -1):
             # a monomial cancelled after it was queued stays in its bucket
             for bad in sorted(levels.pop(level, ()), reverse=True):
@@ -217,12 +242,34 @@ class LeavittAlgebra:
                     continue
                 lp, pe, pb, lq, qe, qb, _ = bad
                 g = pe[-1]
-                at = siblings.get(g)
-                if at is None:
-                    v = self.graph.edge(g).src
-                    others = tuple((e.id, e.dst) for e in self.graph.out_edges(v) if e.id != g)
-                    at = siblings[g] = (v, others)
-                v, others = at
+                v, others = siblings.get(g) or self._sibling_entry(g)
+                if not others:
+                    # n trailing edges shared by p and q, each distinguished
+                    # and the only edge out of its source
+                    n = 1
+                    while n < lp and n < lq:
+                        e = pe[-1 - n]
+                        if e != qe[-1 - n] or e not in special:
+                            break
+                        if (siblings.get(e) or self._sibling_entry(e))[1]:
+                            break
+                        n += 1
+                    if n > 1:
+                        if runs is None:
+                            runs = Counter(
+                                (k[2], k[5], k[0] - k[3]) for k in given
+                                if k[1] and k[4] and k[1][-1] == k[4][-1] and k[1][-1] in special
+                            )
+                        # only the input keys of this signature can lie on
+                        # the run; if this is the only one, no other term
+                        # meets the n - 1 keys skipped here
+                        if runs[pb, qb, lp - lq] == 1:
+                            lp, lq = lp - n + 1, lq - n + 1
+                            k = (lp, pe[:lp], pb, lq, qe[:lq], qb, siblings[pe[lp]][0])
+                            terms[k] = c
+                            levels.setdefault(lp, set()).add(k)
+                            steps += n - 1
+                            continue
                 pe, qe = pe[:-1], qe[:-1]
                 k0 = (lp - 1, pe, pb, lq - 1, qe, qb, v)
                 put(k0, c)
@@ -239,6 +286,14 @@ class LeavittAlgebra:
                 m = Monomial(Path(pb, pe, end), Path(qb, qe, end))
             out[m] = c
         return out, steps
+
+    def _sibling_entry(self, g: str):
+        """(source of g, the other edges out of it as (id, range) in
+        out-edge order), stored in `_siblings` for `_reduce`."""
+        v = self.graph.edge(g).src
+        others = tuple((e.id, e.dst) for e in self.graph.out_edges(v) if e.id != g)
+        at = self._siblings[g] = (v, others)
+        return at
 
     def normal_form(self, raw: dict) -> "LpaElement":
         """Canonical element from a raw monomial -> coefficient map."""
@@ -465,30 +520,55 @@ class LpaElement:
         """Product, reduced to canonical form.
 
         (p1 q1*)(p2 q2*) survives only when one of q1, p2 is a prefix of
-        the other.  The p-paths of the right factor are indexed by
-        (base, edges) and by (base, proper prefix), so each left monomial
-        finds its partners with len(q1) + 2 lookups: the prefixes of q1
-        and the extensions of q1.  Partners are visited in the right
-        factor's order, which builds the raw sum in the order of the
-        all-pairs loop; it then passes through the rewriting system once.
+        the other.  The p-paths of the right factor go into one trie per
+        base, keyed by edge id, so each left monomial walks its q1 down
+        once: the p2 that are prefixes of q1 end on the walk, and those
+        that q1 is a prefix of lie below where it ends.  That is len(q1)
+        lookups plus the nodes below, and building the trie costs the
+        total length of the p2, so no prefix is sliced or hashed.  Partners
+        are visited in the right factor's order, which builds the raw sum
+        in the order of the all-pairs loop; it then passes through the
+        rewriting system once.
         """
         self._check_same(other)
         field = self.algebra.field
         zero = field.zero()
         right = list(other.terms.items())
-        exact: dict = {}
-        longer: dict = {}
+        # base -> trie of the right p-paths: a node maps an edge id to its
+        # child, and None to the indices j of the paths ending there
+        tries: dict = {}
         for j, (m2, _) in enumerate(right):
-            base, edges = m2.p.base, m2.p.edges
-            exact.setdefault((base, edges), []).append(j)
-            for k in range(len(edges)):
-                longer.setdefault((base, edges[:k]), []).append(j)
+            node = tries.get(m2.p.base)
+            if node is None:
+                node = tries[m2.p.base] = {}
+            for e in m2.p.edges:
+                child = node.get(e)
+                if child is None:
+                    child = node[e] = {}
+                node = child
+            node.setdefault(None, []).append(j)
         raw: dict = {}
         for m1, c1 in self.terms.items():
-            base, edges = m1.q.base, m1.q.edges
-            hits = list(longer.get((base, edges), ()))
-            for k in range(len(edges) + 1):
-                hits += exact.get((base, edges[:k]), ())
+            node = tries.get(m1.q.base)
+            if node is None:
+                continue
+            # the p-paths that are prefixes of q1 lie on its walk down ...
+            hits = []
+            for e in m1.q.edges:
+                if None in node:
+                    hits += node[None]
+                node = node.get(e)
+                if node is None:
+                    break
+            else:
+                # ... and those that q1 is a prefix of, below where it ends
+                stack = [node]
+                while stack:
+                    for e, child in stack.pop().items():
+                        if e is None:
+                            hits += child
+                        else:
+                            stack.append(child)
             for j in sorted(hits):
                 m2, c2 = right[j]
                 m = _monomial_product(m1, m2)

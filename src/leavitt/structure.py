@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from operator import and_
+from typing import NamedTuple
 
 from .gmatrix import GradedMatrixAlgebra, _add_into, unit_product
 from .graph import (
@@ -331,14 +332,14 @@ def phi(report: DecompositionReport) -> GeneratorImages:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     relation: str
     instance: str
     passed: bool
 
     def to_json(self) -> dict:
-        return {"relation": self.relation, "instance": self.instance, "passed": self.passed}
+        relation, instance, passed = self
+        return {"relation": relation, "instance": instance, "passed": passed}
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,14 @@
 """Graph construction, cycle enumeration, exit analysis, path indexing."""
 
 import itertools
+import random
 
 import pytest
 
 from corpus import build_corpus, build_negative
 from leavitt import Edge, Graph, GraphError, InfiniteEnumerationError
 from leavitt.graph import (
+    Path,
     concat,
     cycle_power,
     factor_through_cycle,
@@ -294,6 +296,52 @@ def test_factor_through_cycle():
         assert concat(q, cycle_power(c, k)) == p
     with pytest.raises(GraphError):
         factor_through_cycle(g, c, g.empty_path("u1"))
+
+
+def _factor_by_reslicing(c, p):
+    """The earlier loop: re-slice the whole remainder per stripped copy."""
+    if p.end != c.base:
+        raise GraphError("path does not end at the cycle base")
+    cyc, edges, k = c.path.edges, p.edges, 0
+    while len(edges) >= len(cyc) and edges[-len(cyc):] == cyc:
+        edges = edges[:-len(cyc)]
+        k += 1
+    return Path(p.base, edges, c.base), k
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 5])
+def test_factor_through_cycle_matches_reslicing(t):
+    """Random walks on a t-cycle with a tail into its base and a second
+    loop at one cycle vertex, so walks mix cycle edges with others: the
+    index-moving factorization agrees with the re-slicing loop, on k = 0,
+    on exact multiples, on a remainder that ends in part of a copy, and
+    on walks that end off the base (both refuse)."""
+    cs = [f"c{i}" for i in range(t)]
+    edges = [(f"b{i}", cs[i], cs[(i + 1) % t]) for i in range(t)]
+    edges += [("t0", "u0", "u1"), ("t1", "u1", cs[0]), ("x", cs[-1], cs[-1])]
+    g = Graph(cs + ["u0", "u1"], edges)
+    c = g.cycle(tuple(f"b{i}" for i in range(t)))
+    rng = random.Random(t)
+    seen = set()
+    for _ in range(400):
+        start = at = rng.choice(g.vertices)
+        walk = []
+        for _ in range(rng.randrange(4 * t + 8)):
+            e = rng.choice(g.out_edges(at))
+            walk.append(e.id)
+            at = e.dst
+        p = g.path(start, walk)
+        try:
+            want = _factor_by_reslicing(c, p)
+        except GraphError:
+            with pytest.raises(GraphError):
+                factor_through_cycle(g, c, p)
+            seen.add("off base")
+            continue
+        assert factor_through_cycle(g, c, p) == want
+        q, k = want
+        seen.add("k = 0" if k == 0 else "exact multiple" if not q.edges else "remainder")
+    assert seen == {"off base", "k = 0", "exact multiple", "remainder"}
 
 
 def test_paths_up_to():

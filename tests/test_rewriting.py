@@ -1,15 +1,19 @@
-"""Worklist rewriting and prefix-indexed products against the loops they replaced.
+"""Worklist rewriting and trie-walking products against the loops they replaced.
 
 ``LeavittAlgebra._reduce`` keeps the non-admissible monomials in one
-bucket per len(p) and sorts each bucket once; ``LpaElement.__mul__``
-finds the partners of each left monomial through a prefix index of the
-right factor.  The oracles below are the earlier versions: a rewrite loop
-that re-sorts every term before each step, and the all-pairs product.
-On random multigraphs (loops, parallel edges, exits) both must give the
+bucket per len(p), sorts each bucket once and jumps sibling-free runs;
+``LpaElement.__mul__`` finds the partners of each left monomial by one
+walk down a trie of the right factor's paths.  The oracles below are the
+earlier versions: a rewrite loop that re-sorts every term before each
+step and rewrites one edge per step, and the all-pairs product.  On
+random multigraphs (loops, parallel edges, exits), and on such graphs
+with a sibling-free run of 5-40 edges grafted on, both must give the
 same terms in the same dict order, the same rewrite step count and the
 same raw sum before reduction.  Every returned monomial is also checked
 against the graph, and the step counts are pinned at the sizes the
-benchmark runs.
+benchmark runs.  One long term costs work linear in its length: a
+counter of edge id hashes grows about 4 times, not 16, from length 6000
+to 24000.
 """
 
 import dataclasses
@@ -161,6 +165,69 @@ def algebra_and_factors(draw):
     return A, x, y
 
 
+@st.composite
+def run_algebras(draw):
+    """A multigraph with a sibling-free run grafted on: n = 5..40 new
+    vertices h0..h(n-1) on a path x -> h0 -> ... -> h(n-1) -> y between
+    two of its vertices, so each run edge but the first is the only edge
+    out of its source.  The first edge's id sorts before the multigraph's
+    edge ids or after them, so it is distinguished at x or (when x has
+    other edges) it is not.  Returns the algebra, x and the run's ids."""
+    g = draw(multigraphs())
+    n = draw(st.integers(5, 40))
+    x, y = draw(st.sampled_from(g.vertices)), draw(st.sampled_from(g.vertices))
+    hs = [f"h{i}" for i in range(n)]
+    chain = [x] + hs + [y]
+    run = [draw(st.sampled_from(("d", "s")))] + [f"r{i:02d}" for i in range(1, n + 1)]
+    edges = [(e.id, e.src, e.dst) for e in g.edges]
+    edges += [(eid, chain[i], chain[i + 1]) for i, eid in enumerate(run)]
+    field = draw(st.sampled_from(FIELDS))
+    return LeavittAlgebra(Graph(list(g.vertices) + hs, edges), field), x, run
+
+
+@st.composite
+def run_sums(draw, A, x, run):
+    """`raw_sums` plus 1-3 terms (p s)(q s)* for paths p, q of length
+    <= 2 into x and s a prefix of the run, so their rewriting walks down
+    sibling-free edges.  Some come with a second term (p s')(q s')* for a
+    shorter prefix s', which lies on the first term's run, and some with
+    a term (p s)(q' s)* for another q' of the same length, which has the
+    same (p.base, q.base, len p - len q); either forbids the jump."""
+    g, field = A.graph, A.field
+    raw = draw(raw_sums(A))
+    into_x = [p for p in paths_up_to(g, 2) if p.end == x]
+
+    def add(p, q, s, c):
+        m = Monomial(g.path(p.base, p.edges + s), g.path(q.base, q.edges + s))
+        raw[m] = field.add(raw.get(m, field.zero()), field.from_int(c))
+
+    for _ in range(draw(st.integers(1, 3))):
+        p, q = draw(st.sampled_from(into_x)), draw(st.sampled_from(into_x))
+        s = tuple(run[: draw(st.integers(1, len(run)))])
+        add(p, q, s, draw(st.integers(1, 2)))
+        shape = draw(st.sampled_from(("alone", "on the run", "same signature")))
+        if shape == "on the run":
+            add(p, q, s[: draw(st.integers(1, len(s)))], draw(st.integers(-2, 2)))
+        elif shape == "same signature":
+            twins = [r for r in into_x if len(r.edges) == len(q.edges) and r.base == q.base]
+            add(p, draw(st.sampled_from(twins)), s, draw(st.integers(-2, 2)))
+    return raw
+
+
+@st.composite
+def run_algebra_and_raw(draw):
+    A, x, run = draw(run_algebras())
+    return A, draw(run_sums(A, x, run))
+
+
+@st.composite
+def run_algebra_and_factors(draw):
+    A, x, run = draw(run_algebras())
+    x_ = LpaElement(A, oracle_reduce(A, draw(run_sums(A, x, run)))[0])
+    y_ = LpaElement(A, oracle_reduce(A, draw(run_sums(A, x, run)))[0])
+    return A, x_, y_
+
+
 # -- differential tests ------------------------------------------------------------
 
 
@@ -194,6 +261,31 @@ def _product_with_raw(A, x, y):
 @SETTINGS
 @hypothesis.given(algebra_and_factors())
 def test_product_matches_all_pairs(case):
+    A, x, y = case
+    for left, right in ((x, y), (x.star(), x), (y, x.star()), (x.star(), y)):
+        want_raw = oracle_raw_product(left, right)
+        got, raw = _product_with_raw(A, left, right)
+        assert raw == list(want_raw.items())
+        want_terms, _ = oracle_reduce(A, want_raw)
+        assert list(got.terms.items()) == list(want_terms.items())
+
+
+@SETTINGS
+@hypothesis.given(run_algebra_and_raw())
+def test_run_normal_form_matches_sorted_rescan(case):
+    """Sums that walk down grafted sibling-free runs: jumped or rewritten
+    one edge per step, the terms, their dict order and the step count are
+    the oracle's."""
+    A, raw = case
+    want_terms, want_steps = oracle_reduce(A, raw)
+    got, steps = A.normal_form_stats(raw)
+    assert list(got.terms.items()) == list(want_terms.items())
+    assert steps == want_steps
+
+
+@SETTINGS
+@hypothesis.given(run_algebra_and_factors())
+def test_run_product_matches_all_pairs(case):
     A, x, y = case
     for left, right in ((x, y), (x.star(), x), (y, x.star()), (x.star(), y)):
         want_raw = oracle_raw_product(left, right)
@@ -313,3 +405,52 @@ def test_normal_form_returns_input_monomials_and_types_stay_frozen():
         kept.p = v
     with pytest.raises(dataclasses.FrozenInstanceError):
         a.end = "w"
+
+
+# -- work in the length of one long term ---------------------------------------
+
+
+class _CountedId(str):
+    """An edge id that counts the times it is hashed.  Every key that the
+    product or the rewriting builds and looks up hashes each edge id in
+    it, so the count follows the edge ids those keys hold.  Past `budget`
+    it raises, so a quadratic route fails fast instead of running long."""
+
+    hashes = 0
+    budget = float("inf")
+
+    def __hash__(self):
+        _CountedId.hashes += 1
+        if _CountedId.hashes > _CountedId.budget:
+            raise AssertionError(f"more than {_CountedId.budget} edge id hashes")
+        return str.__hash__(self)
+
+
+def _aba_hashes(length):
+    """Edge id hashes in a b a for a = p, one path of `length` edges round
+    a 3-cycle, and its inner inverse b = p*: a b = p p* reduces down a
+    sibling-free run of `length` edges, and (a b) a walks p once."""
+    g = Graph(["a", "b", "c"], [("e0", "a", "b"), ("e1", "b", "c"), ("e2", "c", "a")])
+    A = LeavittAlgebra(g, Rationals())
+    ids = [_CountedId(f"e{i}") for i in range(3)]
+    p = g.path("a", tuple(ids[i % 3] for i in range(length)))
+    one = A.field.one()
+    a = A.element([(Monomial(p, g.empty_path(p.end)), one)])
+    b = a.star()
+    _CountedId.hashes, _CountedId.budget = 0, 100 * length
+    try:
+        aba = a * b * a
+        count = _CountedId.hashes
+        # one rewrite step per edge, as before the run is jumped
+        assert A.normal_form_stats({Monomial(p, p): one})[1] == length
+    finally:
+        _CountedId.budget = float("inf")
+    assert aba == a
+    return count
+
+
+def test_long_term_aba_work_is_linear():
+    """Four times the length costs about four times the work (16 times
+    before runs were jumped and products walked a trie)."""
+    small, large = _aba_hashes(6000), _aba_hashes(24000)
+    assert large <= 5 * small

@@ -208,6 +208,17 @@ def test_verify_phi_check_count_line():
     assert len(result.checks) == 26
 
 
+def test_check_is_a_plain_tuple():
+    """A check is a named tuple, like `Edge`: the same fields and JSON."""
+    checks = verify_phi(phi(rep_of("a3"))).checks
+    (check,) = [c for c in checks if c.relation == "identity-resolution"]
+    assert check == ("identity-resolution", "sum of vertices", True)
+    assert check._fields == ("relation", "instance", "passed")
+    assert check.to_json() == {
+        "relation": "identity-resolution", "instance": "sum of vertices", "passed": True
+    }
+
+
 def test_verify_phi_catches_corruption():
     rep = rep_of("cyc2")
     im = phi(rep)
