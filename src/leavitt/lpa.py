@@ -183,7 +183,7 @@ class LeavittAlgebra:
         So the non-admissible monomials wait in one bucket per level,
         drained from the top, and each bucket is sorted once when it is
         reached; the cost is the rewrite steps times the out-degree plus
-        one sort per length level, not one sort of all terms per step.
+        one sort per occupied level, not one sort of all terms per step.
 
         The rewriting runs on flat keys (len p, p.edges, p.base, len q,
         q.edges, q.base, end): plain tuples, hashed and compared in C,
@@ -234,9 +234,12 @@ class LeavittAlgebra:
         # (p.base, q.base, len p - len q) -> how many non-admissible input
         # keys have that signature, counted at the first run that could jump
         runs = None
-        for level in range(max(levels, default=0), 0, -1):
-            # a monomial cancelled after it was queued stays in its bucket
-            for bad in sorted(levels.pop(level, ()), reverse=True):
+        while levels:
+            # a step queues keys only below the level it drains, so the
+            # top bucket is final; a monomial cancelled after it was
+            # queued stays in its bucket
+            level = max(levels)
+            for bad in sorted(levels.pop(level), reverse=True):
                 c = terms.pop(bad, None)
                 if c is None:
                     continue

@@ -110,12 +110,14 @@ def inner_inverse_laurent(a: GradedMatrix) -> GradedMatrix:
     diagonal entry is a unit; a nonzero non-unit entry certifies that no
     inner inverse exists at all (d = d^2 r in a domain forces d a unit),
     and raises NotRegularError.  D^+ is diagonal, so D^+ U scales the
-    rows of U, and the one product is the sparse matrix product.
+    rows of U at the pivots (the i with d_ii != 0), only those columns of
+    V meet a nonzero row of D^+ U, and the one product is the sparse
+    matrix product.
     """
     alg = a.algebra
     ring = alg.base
     u, d, v = smith_normal_form(a.entries, ring)
-    units = {}
+    pivots, units = [], {}
     for i, urow in enumerate(u):
         x = d[i][i]
         if ring.is_zero(x):
@@ -124,11 +126,15 @@ def inner_inverse_laurent(a: GradedMatrix) -> GradedMatrix:
             raise NotRegularError(
                 "diagonal form has the nonzero non-unit entry " + ring.format(x)
             )
+        pivots.append(i)
         inv = ring.unit_inverse(x)
         for j, y in enumerate(urow):
             if not ring.is_zero(y):
                 units[i, j] = ring.mul(inv, y)
-    return alg.matrix(v) * GradedMatrix(alg, units)
+    left = {
+        (k, i): x for k, row in enumerate(v) for i in pivots if not ring.is_zero(x := row[i])
+    }
+    return GradedMatrix(alg, left) * GradedMatrix(alg, units)
 
 
 def inner_inverse(a: GradedMatrix) -> GradedMatrix:
@@ -309,7 +315,7 @@ def sample_homogeneous(algebra, rng, degree_window: int = 3, max_terms: int = 3)
         if basis:
             break
     k = rng.randint(1, min(max_terms, len(basis)))
-    monos = rng.sample(list(basis), k)
+    monos = rng.sample(basis, k)
     pairs = []
     for m in monos:
         c = field.zero()

@@ -16,7 +16,9 @@ viewed as trivially graded: everything sits in degree 0, so
 ``monomial(c, 0)`` is c itself and ``terms(c)`` is {0: c}.
 
 ``smith_normal_form`` diagonalizes a matrix over a LaurentRing by row and
-column operations, using the Euclidean width max(exp) - min(exp).
+column operations, using the Euclidean width max(exp) - min(exp).  It
+works on sparse rows and keeps V transposed, so one clearing step serves
+the pivot column and the pivot row; its dense results share one zero.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from itertools import repeat
 
 
 # deterministic Miller-Rabin: these bases decide primality exactly below
@@ -463,119 +466,97 @@ class LaurentRing:
 # ---------------------------------------------------------------------------
 
 
-def _identity(ring: LaurentRing, n: int):
-    return [[ring.one() if i == j else ring.zero() for j in range(n)] for i in range(n)]
+def _pick_pivot(a, s, width):
+    """(width, i, j) of the row-major first nonzero of least width in rows >= s, or None."""
+    best = None
+    for i in range(s, len(a)):
+        if a[i]:
+            w, j = min((width(x), j) for j, x in a[i].items())
+            if best is None or w < best[0]:
+                best = w, i, j
+                if w == 0:
+                    break
+    return best
+
+
+def _swap(a, t, i, j):
+    for rows in (a, t):
+        rows[i], rows[j] = rows[j], rows[i]
+
+
+def _sub_row(a, t, i, j, q, ring):
+    """Row i -= q * row j in the sparse rows of `a` and `t`.  As x - q*0 = x,
+    only the stored entries of row j are visited."""
+    for rows in (a, t):
+        dst = rows[i]
+        for k, y in rows[j].items():
+            qy = ring.mul(q, y)
+            z = dst[k] = ring.sub(dst[k], qy) if k in dst else ring.neg(qy)
+            if ring.is_zero(z):
+                del dst[k]
+
+
+def _clear(a, t, s, ring):
+    """Clear column s of `a` below the pivot a[s][s] by row operations on `a`
+    and `t`; True when a narrower remainder was swapped in as the pivot."""
+    for i in range(s + 1, len(a)):
+        if s in a[i]:
+            q, r = ring.divmod(a[i][s], a[s][s])
+            _sub_row(a, t, i, s, q, ring)
+            if not ring.is_zero(r):
+                _swap(a, t, s, i)
+                return True
+    return False
+
+
+def _transpose(a, n):
+    """The sparse rows of the transpose of the sparse rows `a` (n columns)."""
+    out = [{} for _ in range(n)]
+    for i, row in enumerate(a):
+        for j, x in row.items():
+            out[j][i] = x
+    return out
 
 
 def smith_normal_form(m, ring: LaurentRing):
     """Diagonalize `m` (list of lists over `ring`) by invertible row/column ops.
 
     Returns (U, D, V) with U * m * V = D, U and V invertible over the
-    ring, D diagonal, and each diagonal entry dividing the next.
-    Diagonal entries are not forced monic or unit-normalized; whatever
-    the pivoting produces is kept.
+    ring, D diagonal, and each diagonal entry dividing the next; the
+    entries are not normalized.  A column operation on m is a row
+    operation on m^T, so V is kept as V^T: each step runs `_clear` on
+    (a, U) for the pivot column and on (a^T, V^T) for the pivot row.
     """
     rows = len(m)
     cols = len(m[0]) if rows else 0
-    a = [[m[i][j] for j in range(cols)] for i in range(rows)]
-    u = _identity(ring, rows)
-    v = _identity(ring, cols)
-
-    def row_sub(i, j, q):
-        # row_i -= q * row_j
-        for k in range(cols):
-            a[i][k] = a[i][k] - q * a[j][k]
-        for k in range(rows):
-            u[i][k] = u[i][k] - q * u[j][k]
-
-    def col_sub(i, j, q):
-        # col_i -= q * col_j
-        for k in range(rows):
-            a[k][i] = a[k][i] - q * a[k][j]
-        for k in range(cols):
-            v[k][i] = v[k][i] - q * v[k][j]
-
-    def row_add(i, j):
-        for k in range(cols):
-            a[i][k] = a[i][k] + a[j][k]
-        for k in range(rows):
-            u[i][k] = u[i][k] + u[j][k]
-
-    def swap_rows(i, j):
-        if i != j:
-            a[i], a[j] = a[j], a[i]
-            u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        if i != j:
-            for k in range(rows):
-                a[k][i], a[k][j] = a[k][j], a[k][i]
-            for k in range(cols):
-                v[k][i], v[k][j] = v[k][j], v[k][i]
-
-    def pick_pivot(s):
-        best = None
-        for i in range(s, rows):
-            for j in range(s, cols):
-                if not ring.is_zero(a[i][j]):
-                    w = ring.width(a[i][j])
-                    if best is None or w < best[0]:
-                        best = (w, i, j)
-                        if w == 0:
-                            # no width is smaller: the scan would keep this one
-                            return best
-        return best
-
-    s = 0
-    while s < min(rows, cols):
-        found = pick_pivot(s)
+    zero, one = ring.zero(), ring.one()
+    a = [{j: x for j, x in enumerate(r) if not ring.is_zero(x)} for r in m]
+    u, vt = [{i: one} for i in range(rows)], [{j: one} for j in range(cols)]
+    for s in range(min(rows, cols)):
+        found = _pick_pivot(a, s, ring.width)
         if found is None:
             break
-        _, pi, pj = found
-        swap_rows(s, pi)
-        swap_cols(s, pj)
-
+        _swap(a, u, s, found[1])
+        # the column swap is a row swap of a^T and V^T
+        at = _transpose(a, cols)
+        _swap(at, vt, s, found[2])
+        a = _transpose(at, rows)
         while True:
-            # clear the pivot column; a nonzero remainder becomes the new,
-            # strictly smaller pivot, so this loop terminates
-            dirty = False
-            for i in range(s + 1, rows):
-                if ring.is_zero(a[i][s]):
-                    continue
-                q, r = ring.divmod(a[i][s], a[s][s])
-                row_sub(i, s, q)
-                if not ring.is_zero(r):
-                    swap_rows(s, i)
-                    dirty = True
-                    break
+            if _clear(a, u, s, ring):
+                continue
+            at = _transpose(a, cols)
+            dirty = _clear(at, vt, s, ring)
+            a = _transpose(at, rows)
             if dirty:
                 continue
-            for j in range(s + 1, cols):
-                if ring.is_zero(a[s][j]):
-                    continue
-                q, r = ring.divmod(a[s][j], a[s][s])
-                col_sub(j, s, q)
-                if not ring.is_zero(r):
-                    swap_cols(s, j)
-                    dirty = True
-                    break
-            if dirty:
-                continue
-            # pivot row and column clean; enforce divisibility of the rest,
-            # which a unit pivot has already
-            if ring.is_unit(a[s][s]):
+            # a unit pivot divides the rest; else add a row it does not divide
+            p = a[s][s]
+            if ring.is_unit(p):
                 break
-            culprit = None
-            for i in range(s + 1, rows):
-                for j in range(s + 1, cols):
-                    if not ring.divides(a[s][s], a[i][j]):
-                        culprit = i
-                        break
-                if culprit is not None:
-                    break
+            culprit = next((i for i in range(s + 1, rows)
+                            if not all(ring.divides(p, x) for x in a[i].values())), None)
             if culprit is None:
                 break
-            row_add(s, culprit)
-        s += 1
-
-    return u, a, v
+            _sub_row(a, u, s, culprit, ring.from_int(-1), ring)
+    grids = (u, rows), (a, cols), (_transpose(vt, cols), cols)
+    return tuple([list(map(r.get, range(n), repeat(zero))) for r in x] for x, n in grids)

@@ -13,6 +13,7 @@ from leavitt import (
     BlockSelection,
     Graph,
     GradedMatrixAlgebra,
+    LaurentElement,
     LaurentRing,
     LeavittAlgebra,
     NotRegularError,
@@ -674,6 +675,28 @@ def test_inner_inverse_work_count_edge_images(monkeypatch):
     edges += [(f"c{i}", us[30 + i], us[30 + (i + 1) % 5]) for i in range(5)]
     fed = Graph(us, edges)
     assert _inner_inverse_mul_counts(monkeypatch, fed, Q, LaurentRing) == {2}
+
+
+def test_laurent_inner_inverse_builds_few_elements(monkeypatch):
+    """Deterministic work gate: an edge of a 200-cycle maps to one matrix
+    unit of M_n(K[x^n, x^-n]), n = 200.  Its inverse builds at most 4n
+    Laurent elements, n of them the zeros of the dense input grid.
+    Identity grids with a fresh zero per entry and a dense V factor built
+    80203."""
+    n = 200
+    images = phi(decompose(LeavittAlgebra(_cycle(n))))
+    (m,) = images.apply(images.report.algebra.edge("e0"))
+    built = [0]
+    init = LaurentElement.__init__
+
+    def counting_init(self, ring, terms):
+        built[0] += 1
+        init(self, ring, terms)
+
+    monkeypatch.setattr(LaurentElement, "__init__", counting_init)
+    b = inner_inverse_laurent(m)
+    assert built[0] <= 4 * n
+    assert m * b * m == m
 
 
 def test_identity_diagonal_form_skips_divisibility(monkeypatch):

@@ -5,7 +5,18 @@ from fractions import Fraction
 
 import pytest
 
-from leavitt import LaurentRing, PrimeField, Rationals, scalar, smith_normal_form
+from leavitt import (
+    Graph,
+    LaurentRing,
+    LeavittAlgebra,
+    PrimeField,
+    Rationals,
+    decompose,
+    phi,
+    sample_homogeneous,
+    scalar,
+    smith_normal_form,
+)
 
 
 def test_rationals_basics():
@@ -346,6 +357,11 @@ def test_snf_random_properties():
 # -- the diagonal form against its earlier implementation ---------------------
 
 
+def _identity(ring, n):
+    """The deleted `scalar._identity` (verbatim), for the oracle below."""
+    return [[ring.one() if i == j else ring.zero() for j in range(n)] for i in range(n)]
+
+
 def _smith_normal_form_before(m, ring):
     """The routine as it was before pivots of width 0 stopped the pivot
     scan and unit pivots skipped the divisibility scan (verbatim), kept
@@ -353,8 +369,8 @@ def _smith_normal_form_before(m, ring):
     rows = len(m)
     cols = len(m[0]) if rows else 0
     a = [[m[i][j] for j in range(cols)] for i in range(rows)]
-    u = scalar._identity(ring, rows)
-    v = scalar._identity(ring, cols)
+    u = _identity(ring, rows)
+    v = _identity(ring, cols)
 
     def row_sub(i, j, q):
         # row_i -= q * row_j
@@ -492,3 +508,55 @@ def test_snf_matches_before_shortcuts():
                    for i in range(rows)]
         expect = _smith_normal_form_before([row[:] for row in mat], ring)
         assert smith_normal_form([row[:] for row in mat], ring) == expect
+
+
+def test_snf_matches_before_on_every_shape():
+    """Same U, D and V, entry for entry, as the routine with both halves
+    written out: with no rows, with no columns, on every shape up to
+    6 x 6, and over K[x^t, x^-t] for t = 1, 2, 3 over Q and F_5."""
+    rng = random.Random(19)
+    for field in (Rationals(), PrimeField(5)):
+        for step in (1, 2, 3):
+            ring = LaurentRing(field, step)
+            shapes = [(0, 0), (1, 0), (4, 0)]
+            shapes += [(r, c) for r in range(1, 7) for c in range(1, 7)]
+            for rows, cols in shapes:
+                mat = _random_laurent_matrix(rng, ring, rows, cols)
+                expect = _smith_normal_form_before([row[:] for row in mat], ring)
+                assert smith_normal_form([row[:] for row in mat], ring) == expect
+
+
+def _cycle_fed_by_tree(rng, cycle, tree, fan=2):
+    """A cycle fed by `tree` vertices, each with 1 to `fan` out-edges to
+    earlier vertices: no cycle has an exit, and there is one cycle block,
+    of size cycle + tree when fan is 1."""
+    vertices = [f"c{i}" for i in range(cycle)]
+    edges = [(f"k{i}", vertices[i], vertices[(i + 1) % cycle]) for i in range(cycle)]
+    for t in range(tree):
+        for j in range(rng.randint(1, fan)):
+            edges.append((f"e{t}_{j}", f"t{t}", rng.choice(vertices)))
+        vertices.append(f"t{t}")
+    return Graph(vertices, edges)
+
+
+def test_snf_matches_before_on_cycle_block_images():
+    """Same U, D and V as the oracle on the cycle-block images (n up to
+    40) of homogeneous elements drawn by `sample_homogeneous`."""
+    rng = random.Random(20)
+    graphs = [(_cycle_fed_by_tree(rng, 40, 0), Rationals())]
+    graphs += [(_cycle_fed_by_tree(rng, 5, 30, fan=1), PrimeField(7))]
+    graphs += [(_cycle_fed_by_tree(rng, rng.randint(1, 4), rng.randint(0, 6)), field)
+               for field in (Rationals(), PrimeField(5)) for _ in range(6)]
+    seen = set()
+    for graph, field in graphs:
+        images = phi(decompose(LeavittAlgebra(graph, field)))
+        algebra = images.report.algebra
+        for _ in range(4):
+            for m in images.apply(sample_homogeneous(algebra, rng)):
+                n, ring = m.algebra.n, m.algebra.base
+                if not isinstance(ring, LaurentRing) or n > 40 or m.is_zero():
+                    continue
+                seen.add(n)
+                expect = _smith_normal_form_before(m.entries, ring)
+                assert smith_normal_form(m.entries, ring) == expect
+    assert 40 in seen and 35 in seen and len(seen) >= 5
