@@ -2,7 +2,11 @@
 
 Every command reads a graph from --input (JSON: {"vertices": [...],
 "edges": [{"id", "src", "dst"}, ...]}) and writes a report to stdout,
-JSON by default, aligned text with --format text.
+JSON by default, aligned text with --format text.  Every JSON report is
+the text of ``json.dumps(report, indent=2, sort_keys=True)``; `decompose`
+writes its own, piece by piece, since its index paths hold Θ(n²) edge
+ids in a block of size n, and the others go through `_json_text`.  Every
+command computes its whole report before it writes the first byte.
 
 Exit codes: 0 success; 1 malformed input (nothing on stdout), which
 includes an --input or --element file that cannot be read or is not
@@ -195,12 +199,88 @@ def _encode_into(chunks, obj, depth):
     chunks[-1] = indent + "}"
 
 
-def _emit(args, obj, text_lines):
-    if args.format == "json":
-        print(_json_text(obj))
-    else:
+def _emit(args, obj, text_lines, write_json=None):
+    """Print `obj` as indented JSON, or the text lines with --format text;
+    a command that writes its own JSON passes its writer as `write_json`."""
+    if args.format == "text":
         for line in text_lines:
             print(line)
+    elif write_json is None:
+        print(_json_text(obj))
+    else:
+        write_json(obj)
+
+
+def _write_object(write, fields, streamed, depth):
+    """Write a dict at `depth` as ``json.dumps(indent=2, sort_keys=True)``
+    lays it out: each value of `fields` whole, through `_json_text` and
+    re-indented (encoded JSON holds no literal newline, so every newline is
+    a line break), and each key of `streamed` by its writer, called with
+    the depth of the value."""
+    indent = "\n" + "  " * depth
+    inner = indent + "  "
+    opener = "{"
+    for key in sorted(fields.keys() | streamed.keys()):
+        write(opener + inner + encode_basestring_ascii(key) + ": ")
+        if key in streamed:
+            streamed[key](depth + 1)
+        else:
+            write(_json_text(fields[key]).replace("\n", inner))
+        opener = ","
+    write(indent + "}")
+
+
+def _write_paths(write, paths, encode, depth):
+    """Write a block's index paths, a list at `depth`, one path a call.
+
+    `decompose` grows every index path at its front from its tail (the
+    path less its first edge), which is an index path too, and sorts them
+    by length.  So the text of a path's edge list is its first edge id,
+    the separator and the text of its tail: each id is encoded once, by
+    the caching `encode`, and only the texts of the previous length are
+    kept.
+    """
+    item = "\n" + "  " * (depth + 1)
+    key = item + "  "
+    sep = "," + key + "  "
+    head = f'{item}{{{key}"base": '
+    opener = "["
+    prev, cur, length = {}, {}, 0
+    for p in paths:
+        edges = p.edges
+        if len(edges) != length:
+            prev, cur, length = cur, {}, len(edges)
+        if edges:
+            first = encode(edges[0])
+            body = cur[edges] = first + sep + prev[edges[1:]] if length > 1 else first
+            write(f'{opener}{head}{encode(p.base)},{key}"edges": [{sep[1:]}{body}{key}]{item}}}')
+        else:
+            write(f'{opener}{head}{encode(p.base)},{key}"edges": []{item}}}')
+        opener = ","
+    write(item[:-2] + "]")
+
+
+def _write_decomposition(report):
+    """Write ``json.dumps(report.to_json(), indent=2, sort_keys=True)`` and
+    a newline to stdout, piece by piece, without building the JSON value;
+    the index paths hold Θ(n²) edge ids in a block of size n, and the
+    Python work here is linear in paths plus edges."""
+    write = sys.stdout.write
+    encode = functools.cache(encode_basestring_ascii)
+    blocks = [(b.fields_json(), b.index_paths) for b in report.blocks]
+
+    def write_blocks(depth):
+        item = "\n" + "  " * (depth + 1)
+        opener = "["
+        for fields, paths in blocks:
+            write(opener + item)
+            write_paths = functools.partial(_write_paths, write, paths, encode)
+            _write_object(write, fields, {"paths": write_paths}, depth + 1)
+            opener = ","
+        write(item[:-2] + "]")
+
+    _write_object(write, report.fields_json(), {"blocks": write_blocks}, 0)
+    write("\n")
 
 
 # -- commands ----------------------------------------------------------------
@@ -238,7 +318,7 @@ def _block_lines(report):
 
 def cmd_decompose(args) -> int:
     report = _load_report(args)
-    _emit(args, report.to_json(), _block_lines(report))
+    _emit(args, report, _block_lines(report), _write_decomposition)
     return 0
 
 

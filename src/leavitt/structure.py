@@ -186,10 +186,11 @@ class Block:
             return Monomial(concat(qi, cycle_power(self.cycle, w)), qj)
         return Monomial(qi, concat(qj, cycle_power(self.cycle, -w)))
 
-    def to_json(self) -> dict:
+    def fields_json(self) -> dict:
+        """Every field of `to_json` but the index paths; the CLI writes
+        those itself, and these through its emitter."""
         out = {
             "kind": self.kind,
-            "paths": [p.to_json() for p in self.index_paths],
             "shifts": list(self.shifts),
             "base": self.algebra.base_to_json(),
         }
@@ -199,6 +200,9 @@ class Block:
             out["cycle"] = self.cycle.to_json()
             out["t"] = self.t
         return out
+
+    def to_json(self) -> dict:
+        return dict(self.fields_json(), paths=[p.to_json() for p in self.index_paths])
 
 
 @dataclass(frozen=True)
@@ -212,11 +216,12 @@ class DecompositionReport:
     def graph(self) -> Graph:
         return self.algebra.graph
 
+    def fields_json(self) -> dict:
+        """Every field of `to_json` but the blocks."""
+        return {"field_characteristic": getattr(self.algebra.field, "characteristic", 0)}
+
     def to_json(self) -> dict:
-        return {
-            "field_characteristic": getattr(self.algebra.field, "characteristic", 0),
-            "blocks": [b.to_json() for b in self.blocks],
-        }
+        return dict(self.fields_json(), blocks=[b.to_json() for b in self.blocks])
 
 
 def decompose(algebra_or_graph, field=None) -> DecompositionReport:

@@ -8,13 +8,16 @@ the test corpus with the JSON branch of `_emit` switched back to the
 stdlib call.
 """
 
+import contextlib
+import io
 import json
 import math
+import tracemalloc
 
 import pytest
 
 from corpus import build_corpus, build_negative
-from leavitt import cli
+from leavitt import Graph, cli, decompose
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -200,3 +203,111 @@ def test_cli_bytes_match_stdlib_emitter(tmp_path, capsys, monkeypatch):
         assert a == b, argv
     # the sweep reaches success, refusal (exit 2) and failed replays (exit 3)
     assert {code for code, _, _ in fast} == {0, 2, 3}
+
+
+# -- decompose writes its own JSON -------------------------------------------
+#
+# `cli._write_decomposition` streams the report and builds each index
+# path's edge text from its tail's.  The oracle here is the library's
+# report through the stdlib encoder, which never touches that writer.
+
+# ids holding what JSON escapes or what the writer's separators look like;
+# a JSON integer id names the same vertex or edge as its decimal string
+ids = st.one_of(
+    st.integers(-(10**6), 10**6),
+    st.text(st.sampled_from('"\\,[]{}\n:\t é中😀ab0'), max_size=5),
+)
+
+
+@st.composite
+def no_exit_graph_data(draw):
+    """The JSON of a no-exit multigraph: a few cycles of length 1 to 3 at
+    the end of the vertex order, each vertex on one emitting only its cycle
+    edge, and forward edges, parallel ones included, from every other
+    vertex to any later one.  Vertices left with no edge out are sinks;
+    sparse edges leave several components."""
+    vs = draw(st.lists(ids, min_size=1, max_size=9, unique_by=str))
+    lengths = draw(st.lists(st.integers(1, 3), max_size=3))
+    ends, start = [], len(vs)
+    for t in lengths:
+        if start - t < 0:
+            break
+        start -= t
+        ends += [(start + k, start + (k + 1) % t) for k in range(t)]
+    sources = min(start, len(vs) - 1)  # the vertices off the cycles with a later one
+    if sources:
+        forward = st.integers(0, sources - 1).flatmap(
+            lambda i: st.tuples(st.just(i), st.integers(i + 1, len(vs) - 1))
+        )
+        pairs = draw(st.lists(forward, max_size=12))
+        if pairs:
+            pairs += draw(st.lists(st.sampled_from(pairs), max_size=3))
+        ends += pairs
+    eids = draw(st.lists(ids, min_size=len(ends), max_size=len(ends), unique_by=str))
+    edges = [{"id": e, "src": vs[i], "dst": vs[j]} for e, (i, j) in zip(eids, ends)]
+    return {"vertices": draw(st.permutations(vs)), "edges": draw(st.permutations(edges))}
+
+
+@hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@hypothesis.given(no_exit_graph_data(), st.sampled_from(["q", "fp:2", "fp:5"]))
+def test_decompose_stdout_matches_library_report(tmp_path_factory, data, field):
+    path = tmp_path_factory.mktemp("graph") / "graph.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["decompose", "--input", str(path), "--field", field])
+    report = decompose(Graph.from_json_dict(data), cli._field_arg(field))
+    assert code == 0
+    assert out.getvalue() == json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"
+
+
+def _line(n):
+    vs = [f"v{i}" for i in range(n)]
+    return Graph(vs, [(f"e{i}", vs[i], vs[i + 1]) for i in range(n - 1)])
+
+
+class _Sink:
+    """A stdout that keeps only the byte count."""
+
+    size = 0
+
+    def write(self, text):
+        self.size += len(text)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        _line(200),
+        # each of 8 steps doubled: 511 index paths on 16 edges, so most
+        # edges start many paths
+        Graph(range(9), [(f"{k}{i}", i, i + 1) for i in range(8) for k in "ab"]),
+    ],
+    ids=["line200", "doubled8"],
+)
+def test_decompose_writer_encodes_each_id_once(monkeypatch, g):
+    """On the 200-vertex line the index paths hold 19900 edge ids."""
+    report = decompose(g)
+    calls = []
+    encode = cli.encode_basestring_ascii
+    monkeypatch.setattr(cli, "encode_basestring_ascii", lambda s: calls.append(s) or encode(s))
+    sink = _Sink()
+    with contextlib.redirect_stdout(sink):
+        cli._write_decomposition(report)
+    assert sink.size == len(json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n")
+    assert len(calls) <= len(g.edges) + len(g.vertices) + 10
+
+
+def test_decompose_writer_keeps_two_path_lengths():
+    """On a line there is one index path of each length, so a memo of every
+    path's text would hold the Θ(n²) bytes of the whole output at once."""
+    report = decompose(_line(200))
+    output = len(json.dumps(report.to_json(), indent=2, sort_keys=True))
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(_Sink()):
+            cli._write_decomposition(report)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < output // 4
