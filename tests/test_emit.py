@@ -4,8 +4,9 @@
 flat dicts, with the C encoder and walks the containers around them; here
 it is compared with the stdlib call on random JSON trees and on random
 lists of flat dicts, and every command of the CLI is run on
-the test corpus with the JSON branch of `_emit` switched back to the
-stdlib call.
+the test corpus with `_json_text` switched back to the stdlib call.
+`decompose` writes its own JSON, which is compared with the library's
+report through the stdlib call on random no-exit graphs.
 """
 
 import contextlib
