@@ -10,19 +10,20 @@ command computes its whole report before it writes the first byte.
 
 Exit codes: 0 success; 1 malformed input (nothing on stdout), which
 includes an --input or --element file that cannot be read or is not
-UTF-8, a graph with no vertices, a vertex or edge id that is neither a
-string nor an integer, JSON nested too deeply to decode, an element path
-``p`` or ``q`` that is not an array, an element coefficient the field
-cannot parse, a JSON integer longer than Python converts from text (4300
-digits by default), a coefficient over Q whose numerator or denominator
-would be longer than that ("1e5000", "1e-5000") and an inhomogeneous
---element to regular-witness; 2 the graph has a cycle with an exit where
-the command needs the no-exit condition, or a usage error reported by
-argparse (an unknown option, --field fp:4, a negative --bound or
---samples); 3 an internal verification replay failed; 4 any other
-internal error (one ``error: internal: ...`` line on stderr, nothing on
-stdout); 141 (128 + SIGPIPE) the reader closed stdout, with nothing on
-stderr.
+UTF-8, a graph with no vertices, a vertex or edge id, in the graph or
+in an element, that is neither a string nor an integer (an integer id
+is read as its decimal text), JSON nested too deeply to decode, an
+element path ``p`` or ``q`` that is not an array, an element
+coefficient the field cannot parse, a JSON integer longer than Python
+converts from text (4300 digits by default), a coefficient over Q whose
+numerator or denominator would be longer than that ("1e5000",
+"1e-5000") and an inhomogeneous --element to regular-witness; 2 the
+graph has a cycle with an exit where the command needs the no-exit
+condition, or a usage error reported by argparse (an unknown option,
+--field fp:4, a negative --bound or --samples); 3 an internal
+verification replay failed; 4 any other internal error (one
+``error: internal: ...`` line on stderr, nothing on stdout); 141
+(128 + SIGPIPE) the reader closed stdout, with nothing on stderr.
 """
 
 from __future__ import annotations

@@ -38,6 +38,16 @@ class GraphError(ValueError):
     """Malformed graph data: duplicate ids, dangling endpoints, bad paths."""
 
 
+def check_ids(*groups) -> None:
+    """Vertex and edge ids read from JSON, in the sequences `groups`, are
+    strings or integers, by exact type, so a JSON true or false is refused
+    like null or 1.5.  An integer id names the vertex or edge whose id is
+    its decimal text (`str`)."""
+    if not set(map(type, chain(*groups))) <= {str, int}:
+        bad = next(x for x in chain(*groups) if type(x) not in (str, int))
+        raise GraphError(f"an identifier must be a string or an integer, not {bad!r}")
+
+
 class InfiniteEnumerationError(RuntimeError):
     """A path enumeration was requested that is not guaranteed finite."""
 
@@ -211,10 +221,7 @@ class Graph:
             triples = [(rec["id"], rec["src"], rec["dst"]) for rec in edges]
         except (KeyError, TypeError):
             raise GraphError("each edge needs 'id', 'src' and 'dst'") from None
-        # by exact type, so a JSON true or false is refused like null or 1.5
-        if not set(map(type, chain(vertices, *triples))) <= {str, int}:
-            bad = next(x for x in chain(vertices, *triples) if type(x) not in (str, int))
-            raise GraphError(f"an identifier must be a string or an integer, not {bad!r}")
+        check_ids(vertices, *triples)
         return cls(vertices, triples)
 
     def to_json_dict(self) -> dict:

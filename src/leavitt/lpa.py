@@ -47,6 +47,7 @@ from .graph import (
     GraphError,
     InfiniteEnumerationError,
     Path,
+    check_ids,
     concat,
     is_prefix,
     no_exit_condition,
@@ -456,8 +457,9 @@ class LeavittAlgebra:
             try:
                 if not (isinstance(rec["p"], list) and isinstance(rec["q"], list)):
                     raise GraphError("element paths 'p' and 'q' must be arrays")
-                p = self.graph.path(rec["p_base"], tuple(rec["p"]))
-                q = self.graph.path(rec["q_base"], tuple(rec["q"]))
+                check_ids((rec["p_base"], rec["q_base"]), rec["p"], rec["q"])
+                p = self.graph.path(str(rec["p_base"]), tuple(map(str, rec["p"])))
+                q = self.graph.path(str(rec["q_base"]), tuple(map(str, rec["q"])))
                 coeff = rec["coeff"]
             except (KeyError, TypeError) as exc:
                 raise GraphError(f"malformed element term: {exc}") from None

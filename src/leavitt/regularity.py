@@ -4,11 +4,12 @@ An inner inverse of a is any b with a b a = a.  Over a field every
 matrix has one, read off one sparse Gauss-Jordan pass on the rows of
 its stored units; over a Laurent ring a matrix has one exactly when its
 diagonal form has unit-or-zero entries, which for the homogeneous
-matrices arising here is automatic.  Both build b with the sparse row operations
-and product of ``gmatrix``; no dense product is formed.  Transporting a
-homogeneous algebra element through the block isomorphism, inverting
-blockwise, pulling back and projecting onto the single degree that can
-matter produces a graded inner inverse; `graded_inner_inverse` is that
+matrices arising here is automatic.  Both eliminate on sparse rows
+with the row operations of ``scalar`` and build b with the product of
+``gmatrix``; no dense grid is formed.  Transporting a homogeneous
+algebra element through the block isomorphism, inverting blockwise,
+pulling back and projecting onto the single degree that can matter
+produces a graded inner inverse; `graded_inner_inverse` is that
 pipeline and the witness that the algebra is graded von Neumann regular.
 
 The graded central idempotents are exactly the block selections
@@ -27,9 +28,9 @@ import itertools
 from dataclasses import dataclass
 from functools import reduce
 
-from .gmatrix import GradedMatrix, _add_into
+from .gmatrix import GradedMatrix
 from .lpa import LpaElement
-from .scalar import smith_normal_form
+from .scalar import _sub_row, _swap, smith_normal_form
 from .structure import DecompositionReport, GeneratorImages, VerificationError, pull_back
 
 
@@ -50,7 +51,6 @@ def _row_reduce(rows, field):
     input stays zero under row operations, so only the stored columns
     are scanned for pivots.
     """
-    add, mul, neg, is_zero = field.add, field.mul, field.neg, field.is_zero
     m = len(rows)
     a = [dict(r) for r in rows]
     t = [{i: field.one()} for i in range(m)]
@@ -60,19 +60,13 @@ def _row_reduce(rows, field):
         pick = next((i for i in range(r, m) if c in a[i]), None)
         if pick is None:
             continue
-        a[r], a[pick] = a[pick], a[r]
-        t[r], t[pick] = t[pick], t[r]
+        _swap(a, t, r, pick)
         inv = field.invert(a[r][c])
-        a[r] = {j: mul(inv, x) for j, x in a[r].items()}
-        t[r] = {j: mul(inv, x) for j, x in t[r].items()}
+        a[r] = {j: field.mul(inv, x) for j, x in a[r].items()}
+        t[r] = {j: field.mul(inv, x) for j, x in t[r].items()}
         for i in range(m):
-            f = a[i].get(c)
-            if i == r or f is None:
-                continue
-            f = neg(f)
-            for src, dst in ((a[r], a[i]), (t[r], t[i])):
-                for j, y in src.items():
-                    _add_into(dst, j, mul(f, y), add, is_zero)
+            if i != r and c in a[i]:
+                _sub_row(a, t, i, r, a[i][c], field)
         pivots.append(c)
         r += 1
         if r == m:
@@ -110,30 +104,27 @@ def inner_inverse_laurent(a: GradedMatrix) -> GradedMatrix:
     diagonal entry is a unit; a nonzero non-unit entry certifies that no
     inner inverse exists at all (d = d^2 r in a domain forces d a unit),
     and raises NotRegularError.  D^+ is diagonal, so D^+ U scales the
-    rows of U at the pivots (the i with d_ii != 0), only those columns of
-    V meet a nonzero row of D^+ U, and the one product is the sparse
-    matrix product.
+    stored entries of the rows of U at the pivots (the i with d_ii != 0),
+    only those columns of V meet a nonzero row of D^+ U, and the one
+    product is the sparse matrix product.  Every factor stays in sparse
+    rows, so no zero entry is built or tested.
     """
     alg = a.algebra
     ring = alg.base
-    u, d, v = smith_normal_form(a.entries, ring)
-    pivots, units = [], {}
-    for i, urow in enumerate(u):
-        x = d[i][i]
-        if ring.is_zero(x):
+    u, d, v = smith_normal_form(a.rows, alg.n, ring)
+    units = {}
+    for i, (drow, urow) in enumerate(zip(d, u)):
+        if not drow:
             continue
+        x = drow[i]
         if not ring.is_unit(x):
             raise NotRegularError(
                 "diagonal form has the nonzero non-unit entry " + ring.format(x)
             )
-        pivots.append(i)
         inv = ring.unit_inverse(x)
-        for j, y in enumerate(urow):
-            if not ring.is_zero(y):
-                units[i, j] = ring.mul(inv, y)
-    left = {
-        (k, i): x for k, row in enumerate(v) for i in pivots if not ring.is_zero(x := row[i])
-    }
+        for j, y in urow.items():
+            units[i, j] = ring.mul(inv, y)
+    left = {(k, i): x for k, row in enumerate(v) for i, x in row.items() if d[i]}
     return GradedMatrix(alg, left) * GradedMatrix(alg, units)
 
 
@@ -300,21 +291,26 @@ def idempotent_report(images: GeneratorImages, e: LpaElement) -> IdempotentRepor
     )
 
 
-def sample_homogeneous(algebra, rng, degree_window: int = 3, max_terms: int = 3) -> LpaElement:
+_DEGREE_WINDOW = 3
+_MAX_TERMS = 3
+
+
+def sample_homogeneous(algebra, rng) -> LpaElement:
     """A random nonzero homogeneous element, drawn from the canonical basis.
 
-    Degree is uniform over the window where a basis exists (degree 0
-    always has the vertices, so this terminates), coefficients are small
-    nonzero field scalars.  Admissible monomials with nonzero
+    Degree is uniform over -_DEGREE_WINDOW.._DEGREE_WINDOW where a basis
+    exists (degree 0 always has the vertices, so this terminates), there
+    are 1 to _MAX_TERMS terms, and coefficients are small nonzero field
+    scalars.  Admissible monomials with nonzero
     coefficients are already canonical, so the result is never zero.
     """
     field = algebra.field
     while True:
-        d = rng.randint(-degree_window, degree_window)
+        d = rng.randint(-_DEGREE_WINDOW, _DEGREE_WINDOW)
         basis = algebra.basis_monomials(d)
         if basis:
             break
-    k = rng.randint(1, min(max_terms, len(basis)))
+    k = rng.randint(1, min(_MAX_TERMS, len(basis)))
     monos = rng.sample(basis, k)
     pairs = []
     for m in monos:

@@ -17,8 +17,9 @@ viewed as trivially graded: everything sits in degree 0, so
 
 ``smith_normal_form`` diagonalizes a matrix over a LaurentRing by row and
 column operations, using the Euclidean width max(exp) - min(exp).  It
-works on sparse rows and keeps V transposed, so one clearing step serves
-the pivot column and the pivot row; its dense results share one zero.
+works on sparse rows in and out and keeps V transposed, so one clearing
+step serves the pivot column and the pivot row; its row operations
+``_swap`` and ``_sub_row`` serve the elimination over a field as well.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from itertools import repeat
 
 
 # deterministic Miller-Rabin: these bases decide primality exactly below
@@ -518,21 +518,22 @@ def _transpose(a, n):
     return out
 
 
-def smith_normal_form(m, ring: LaurentRing):
-    """Diagonalize `m` (list of lists over `ring`) by invertible row/column ops.
+def smith_normal_form(rows, cols: int, ring: LaurentRing):
+    """Diagonalize the matrix m with sparse rows `rows` (dicts column ->
+    nonzero entry, as `GradedMatrix.rows` gives them) and `cols` columns.
 
-    Returns (U, D, V) with U * m * V = D, U and V invertible over the
-    ring, D diagonal, and each diagonal entry dividing the next; the
-    entries are not normalized.  A column operation on m is a row
-    operation on m^T, so V is kept as V^T: each step runs `_clear` on
-    (a, U) for the pivot column and on (a^T, V^T) for the pivot row.
+    Returns (U, D, V), sparse rows too, with U * m * V = D, U and V
+    invertible over the ring, D diagonal, and each diagonal entry
+    dividing the next; the entries are not normalized.  A column
+    operation on m is a row operation on m^T, so V is kept as V^T: each
+    step runs `_clear` on (a, U) for the pivot column and on (a^T, V^T)
+    for the pivot row.
     """
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    zero, one = ring.zero(), ring.one()
-    a = [{j: x for j, x in enumerate(r) if not ring.is_zero(x)} for r in m]
-    u, vt = [{i: one} for i in range(rows)], [{j: one} for j in range(cols)]
-    for s in range(min(rows, cols)):
+    n = len(rows)
+    one = ring.one()
+    a = [dict(r) for r in rows]
+    u, vt = [{i: one} for i in range(n)], [{j: one} for j in range(cols)]
+    for s in range(min(n, cols)):
         found = _pick_pivot(a, s, ring.width)
         if found is None:
             break
@@ -540,23 +541,22 @@ def smith_normal_form(m, ring: LaurentRing):
         # the column swap is a row swap of a^T and V^T
         at = _transpose(a, cols)
         _swap(at, vt, s, found[2])
-        a = _transpose(at, rows)
+        a = _transpose(at, n)
         while True:
             if _clear(a, u, s, ring):
                 continue
             at = _transpose(a, cols)
             dirty = _clear(at, vt, s, ring)
-            a = _transpose(at, rows)
+            a = _transpose(at, n)
             if dirty:
                 continue
             # a unit pivot divides the rest; else add a row it does not divide
             p = a[s][s]
             if ring.is_unit(p):
                 break
-            culprit = next((i for i in range(s + 1, rows)
+            culprit = next((i for i in range(s + 1, n)
                             if not all(ring.divides(p, x) for x in a[i].values())), None)
             if culprit is None:
                 break
             _sub_row(a, u, s, culprit, ring.from_int(-1), ring)
-    grids = (u, rows), (a, cols), (_transpose(vt, cols), cols)
-    return tuple([list(map(r.get, range(n), repeat(zero))) for r in x] for x, n in grids)
+    return u, a, _transpose(vt, cols)

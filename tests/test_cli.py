@@ -447,6 +447,64 @@ def test_non_string_identifier_is_exit_1(tmp_path, capsys):
     _assert_malformed(*run_main(capsys, ["classify", "--input", str(p)]))
 
 
+# a 3-cycle fed by one edge, beside a line of two, all ids JSON integers
+_INT_ID_GRAPH = {
+    "vertices": [0, 1, 2, 3, 4, 5],
+    "edges": [
+        {"id": 10, "src": 0, "dst": 1},
+        {"id": 11, "src": 1, "dst": 2},
+        {"id": 12, "src": 2, "dst": 0},
+        {"id": 13, "src": 3, "dst": 0},
+        {"id": 14, "src": 4, "dst": 5},
+    ],
+}
+# a homogeneous element of degree 1 and the idempotent 10 10* + 4
+_INT_ID_ELEMENTS = {
+    "regular-witness": [
+        {"p": [13, 10], "p_base": 3, "q": [10], "q_base": 0, "coeff": "2"},
+        {"p": [14], "p_base": 4, "q": [], "q_base": 5, "coeff": "-1"},
+    ],
+    "idempotent-report": [
+        {"p": [10], "p_base": 0, "q": [10], "q_base": 0, "coeff": "1"},
+        {"p": [], "p_base": 4, "q": [], "q_base": 4, "coeff": "1"},
+    ],
+}
+
+
+def _ids_as_text(terms):
+    return json.loads(json.dumps(terms), parse_int=str)
+
+
+@pytest.mark.parametrize("command", sorted(_INT_ID_ELEMENTS))
+def test_integer_element_ids_read_like_graph_ids(tmp_path, capsys, command):
+    """An element's vertex and edge ids may be JSON integers, read as their
+    decimal text as the graph's are: the same stdout as the string ids."""
+    g = tmp_path / "graph.json"
+    g.write_text(json.dumps(_INT_ID_GRAPH))
+    outs = []
+    for terms in (_INT_ID_ELEMENTS[command], _ids_as_text(_INT_ID_ELEMENTS[command])):
+        elem = tmp_path / "elem.json"
+        elem.write_text(json.dumps(terms))
+        code, out, err = run_main(capsys, [command, "--input", str(g), "--element", str(elem)])
+        assert (code, err) == (0, "")
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("bad", [None, True, 1.0, [0], {"v": 0}],
+                         ids=["null", "bool", "float", "array", "object"])
+@pytest.mark.parametrize("key", ["p_base", "q_base", "p", "q"])
+def test_element_id_neither_string_nor_integer_is_exit_1(tmp_path, capsys, key, bad):
+    g = tmp_path / "graph.json"
+    g.write_text(json.dumps(_INT_ID_GRAPH))
+    term = {"p": [10], "p_base": 0, "q": [10], "q_base": 0, "coeff": "1"}
+    term[key] = [bad] if key in ("p", "q") else bad
+    elem = _element_file(tmp_path, [term])
+    for command in sorted(_INT_ID_ELEMENTS):
+        argv = [command, "--input", str(g), "--element", elem]
+        _assert_malformed(*run_main(capsys, argv))
+
+
 def test_only_verify_iso_builds_generator_tables(tmp_path, capsys, monkeypatch):
     """The witness commands apply the isomorphism and never read its
     generator tables; the relation replay of verify-iso reads all three."""

@@ -9,9 +9,11 @@ from fractions import Fraction
 import pytest
 
 from corpus import build_corpus
+from test_scalar import dense_smith_normal_form
 from leavitt import (
     BlockSelection,
     Graph,
+    GradedMatrix,
     GradedMatrixAlgebra,
     LaurentElement,
     LaurentRing,
@@ -33,7 +35,6 @@ from leavitt import (
     phi_inverse_basis,
     pull_back,
     sample_homogeneous,
-    smith_normal_form,
     type_I_witness,
 )
 from leavitt import regularity
@@ -440,7 +441,7 @@ def oracle_inner_inverse_field(a):
 
 def oracle_inner_inverse_laurent(a):
     alg, ring, n = a.algebra, a.algebra.base, a.algebra.n
-    u, d, v = smith_normal_form(a.entries, ring)
+    u, d, v = dense_smith_normal_form(a.entries, ring)
     dplus = [[ring.zero() for _ in range(n)] for _ in range(n)]
     for i in range(n):
         x = d[i][i]
@@ -571,8 +572,12 @@ def _wrong_pivot_row_reduce(rows, field):
     return a, t, pivots[1:] + pivots[:1]
 
 
-def _add_into_keeping_zeros(row, j, x, add, is_zero):
-    row[j] = add(row[j], x) if j in row else x
+def _sub_row_keeping_zeros(a, t, i, j, q, ring):
+    for rows in (a, t):
+        dst = rows[i]
+        for k, y in rows[j].items():
+            qy = ring.mul(q, y)
+            dst[k] = ring.sub(dst[k], qy) if k in dst else ring.neg(qy)
 
 
 def _no_dplus_scaling(ring, x):
@@ -583,7 +588,7 @@ def _no_dplus_scaling(ring, x):
     "owner, name, mutant",
     [
         (regularity, "_row_reduce", _wrong_pivot_row_reduce),
-        (regularity, "_add_into", _add_into_keeping_zeros),
+        (regularity, "_sub_row", _sub_row_keeping_zeros),
         (LaurentRing, "unit_inverse", _no_dplus_scaling),
     ],
     ids=["transform-row-at-wrong-pivot", "cancelled-sum-stored", "no-dplus-scaling"],
@@ -697,6 +702,50 @@ def test_laurent_inner_inverse_builds_few_elements(monkeypatch):
     b = inner_inverse_laurent(m)
     assert built[0] <= 4 * n
     assert m * b * m == m
+
+
+def test_laurent_inner_inverse_tests_no_zeros(monkeypatch):
+    """Deterministic work gate: the inverse of an edge image of a 200-cycle
+    (one matrix unit, n = 200) runs on sparse rows from input to product,
+    so it tests no Laurent element for zero.  Scanning the dense input
+    grid and the three dense results made n^2 + 3n = 40600 tests."""
+    n = 200
+    images = phi(decompose(LeavittAlgebra(_cycle(n))))
+    (m,) = images.apply(images.report.algebra.edge("e0"))
+    calls = [0]
+    is_zero = LaurentRing.is_zero
+
+    def counting_is_zero(self, x):
+        calls[0] += 1
+        return is_zero(self, x)
+
+    monkeypatch.setattr(LaurentRing, "is_zero", counting_is_zero)
+    b = inner_inverse_laurent(m)
+    assert calls[0] == 0
+    monkeypatch.undo()
+    assert m * b * m == m
+
+
+@pytest.mark.parametrize("field", [Q, PrimeField(5)], ids=["Q", "F5"])
+def test_graded_inner_inverse_reads_no_dense_grid(monkeypatch, field):
+    """Graded inner inverses of sampled elements of a fed cycle beside a
+    line (a block over K[x^t, x^-t] and one over K) never build the dense
+    `entries` view."""
+    fed = _fed_cycle(6, 4)
+    g = Graph(fed.vertices + ("s0", "s1"), [tuple(e) for e in fed.edges] + [("f", "s0", "s1")])
+    images = phi(decompose(LeavittAlgebra(g, field)))
+    assert {b.algebra.is_laurent for b in images.report.blocks} == {True, False}
+    A = images.report.algebra
+    rng = random.Random(5)
+    samples = [sample_homogeneous(A, rng) for _ in range(12)]
+
+    def no_grid(self):
+        raise AssertionError("dense entries read")
+
+    monkeypatch.setattr(GradedMatrix, "entries", property(no_grid))
+    for a in samples:
+        b = graded_inner_inverse(images, a)
+        assert a * b * a == a
 
 
 def test_identity_diagonal_form_skips_divisibility(monkeypatch):
