@@ -28,7 +28,6 @@ by the interpreter's recursion limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from typing import NamedTuple
@@ -58,14 +57,15 @@ class Edge(NamedTuple):
     dst: str
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(NamedTuple):
     """A finite directed path: a base vertex and a composable edge id tuple.
 
     `base` is the source; `end` is the range.  The empty path at a vertex
     v has base == end == v and no edges.  `end` is stored so path algebra
     never needs a graph lookup, but only `Graph.path` and the helpers
-    below construct paths, keeping the three fields consistent.
+    below construct paths, keeping the three fields consistent.  `len`
+    counts the edges, so the named tuple's `_make` and `_replace` do not
+    apply to paths.
     """
 
     base: str
@@ -86,8 +86,7 @@ class Path:
         return {"base": self.base, "edges": list(self.edges)}
 
 
-@dataclass(frozen=True)
-class Cycle:
+class Cycle(NamedTuple):
     """A simple closed path, stored based at its minimal vertex.
 
     Simple means no repeated vertex except the base at the two ends.

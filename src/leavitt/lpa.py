@@ -39,8 +39,8 @@ builds only the paths of the basis.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from operator import mul
+from typing import NamedTuple
 
 from .graph import (
     Graph,
@@ -61,8 +61,7 @@ def special_edges(g: Graph) -> dict:
     return {v: g.out_edges(v)[0].id for v in g.vertices if not g.is_sink(v)}
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(NamedTuple):
     """A path pair p q* with r(p) == r(q); the multiplicative skeleton.
 
     Vertices are the monomials with both paths empty, real paths have q

@@ -25,8 +25,8 @@ so and the test suite probes it by brute force on bounded degrees.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import reduce
+from typing import NamedTuple
 
 from .gmatrix import GradedMatrix
 from .lpa import LpaElement
@@ -197,8 +197,7 @@ def graded_inner_inverse(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BlockSelection:
+class BlockSelection(NamedTuple):
     """A graded central idempotent, named by which blocks it keeps."""
 
     selected: tuple
@@ -242,8 +241,7 @@ def type_I_witness(report: DecompositionReport) -> LpaElement:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IdempotentReport:
+class IdempotentReport(NamedTuple):
     is_idempotent: bool
     is_homogeneous_degree_zero: bool
     block_ranks: tuple

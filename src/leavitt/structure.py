@@ -27,7 +27,6 @@ both sides of phi degree by degree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from operator import and_
 from typing import NamedTuple
@@ -61,8 +60,7 @@ class VerificationError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TypeReport:
+class TypeReport(NamedTuple):
     """Graded structure flags for one graph.
 
     The five flags are equivalent for these algebras, so they are all
@@ -129,7 +127,6 @@ def classify(g: Graph) -> TypeReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Block:
     """One matrix summand: M_n(K) at a sink, M_n(K[x^t, x^(-t)]) at a
     cycle of length t, with its index paths and grading shifts.
@@ -137,14 +134,16 @@ class Block:
     `index_paths[k]` is the k-th basis path into the anchor (the sink, or
     the cycle base, cycle-free); `shifts[k]` is its length.  `cycle` is
     None at a sink: there every path into the anchor is an index path,
-    every winding is 0 and `t` counts as 1.
+    every winding is 0 and `t` counts as 1.  Blocks compare by identity.
     """
 
-    anchor: str
-    cycle: object
-    index_paths: tuple
-    shifts: tuple
-    algebra: GradedMatrixAlgebra
+    def __init__(self, anchor: str, cycle, index_paths: tuple, shifts: tuple,
+                 algebra: GradedMatrixAlgebra):
+        self.anchor = anchor
+        self.cycle = cycle
+        self.index_paths = index_paths
+        self.shifts = shifts
+        self.algebra = algebra
 
     @property
     def kind(self) -> str:
@@ -205,8 +204,7 @@ class Block:
         return dict(self.fields_json(), paths=[p.to_json() for p in self.index_paths])
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
+class DecompositionReport(NamedTuple):
     """The full block decomposition of one algebra (no-exit case)."""
 
     algebra: LeavittAlgebra
@@ -261,7 +259,6 @@ def decompose(algebra_or_graph, field=None) -> DecompositionReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class GeneratorImages:
     """The block isomorphism of one decomposition, in closed form.
 
@@ -279,9 +276,11 @@ class GeneratorImages:
     GradedMatrix, one per block) are built by `apply` when first read,
     and only `verify-iso` reads them; editing one (as its `--corrupt`
     does) changes what `verify_phi` replays, not what `apply` computes.
+    Two images compare by identity.
     """
 
-    report: DecompositionReport
+    def __init__(self, report: DecompositionReport):
+        self.report = report
 
     @cached_property
     def vertices(self) -> dict:
@@ -347,8 +346,7 @@ class Check(NamedTuple):
         return {"relation": relation, "instance": instance, "passed": passed}
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     checks: tuple
 
     @property
@@ -525,8 +523,7 @@ def pull_back(report: DecompositionReport, mats) -> LpaElement:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DimSeriesReport:
+class DimSeriesReport(NamedTuple):
     degree_bound: int
     rows: tuple  # (degree, algebra side, block side)
 

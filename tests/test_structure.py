@@ -1,6 +1,5 @@
 """Classification, block decomposition, the generator isomorphism."""
 
-import dataclasses
 import random
 import sys
 from collections import Counter
@@ -237,7 +236,7 @@ def test_generator_tables_are_apply_on_generators(name, field):
     `apply` on the matching generators."""
     rep = decompose(LeavittAlgebra(build_corpus()[name], field))
     A, g, images = rep.algebra, rep.graph, phi(rep)
-    assert [f.name for f in dataclasses.fields(images)] == ["report"]
+    assert vars(images).keys() == {"report"}
     assert not {"vertices", "edges", "ghosts"} & vars(images).keys()
     assert images.vertices == {v: images.apply(A.vertex(v)) for v in g.vertices}
     assert images.edges == {e.id: images.apply(A.edge(e.id)) for e in g.edges}
