@@ -7,7 +7,7 @@ oracles here are the old definitions themselves: frozen dataclasses with
 the same fields, whose hash, equality and repr the named tuples must
 reproduce exactly, so every set and dict order stays as it was.  A fresh
 interpreter that imports the CLI must not load `dataclasses` or
-`inspect`, which cost every CLI process about half its import time.
+`inspect`, which cost every CLI process about a third of its import time.
 """
 
 import copy
