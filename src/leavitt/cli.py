@@ -34,7 +34,7 @@ import json
 import os
 import random
 import sys
-from itertools import chain
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 
 from .graph import Graph, GraphError, InfiniteEnumerationError
@@ -231,33 +231,27 @@ def _write_object(write, fields, streamed, depth):
     write(indent + "}")
 
 
-def _write_paths(write, paths, encode, depth):
+def _write_paths(write, block, encode, depth):
     """Write a block's index paths, a list at `depth`, one path a call.
 
-    `decompose` grows every index path at its front from its tail (the
-    path less its first edge), which is an index path too, and sorts them
-    by length.  So the text of a path's edge list is its first edge id,
-    the separator and the text of its tail: each id is encoded once, by
-    the caching `encode`, and only the texts of the previous length are
-    kept.
+    The block keeps its index paths as a tree, level by level: path k is
+    the edge `first[k]` followed by path `parent[k]`, one level up.  So
+    the text of its edge list is its first edge id, the separator and the
+    text of its parent's: each id is encoded once, by the caching
+    `encode`, and only the texts of the previous level are kept.
     """
     item = "\n" + "  " * (depth + 1)
     key = item + "  "
     sep = "," + key + "  "
     head = f'{item}{{{key}"base": '
-    opener = "["
-    prev, cur, length = {}, {}, 0
-    for p in paths:
-        edges = p.edges
-        if len(edges) != length:
-            prev, cur, length = cur, {}, len(edges)
-        if edges:
-            first = encode(edges[0])
-            body = cur[edges] = first + sep + prev[edges[1:]] if length > 1 else first
-            write(f'{opener}{head}{encode(p.base)},{key}"edges": [{sep[1:]}{body}{key}]{item}}}')
-        else:
-            write(f'{opener}{head}{encode(p.base)},{key}"edges": []{item}}}')
-        opener = ","
+    write(f'[{head}{encode(block.anchor)},{key}"edges": []{item}}}')
+    prev, cur, length = {}, {}, 1
+    tree = enumerate(zip(block.bases, block.first, block.parent, block.shifts))
+    for k, (base, first, up, shift) in islice(tree, 1, None):
+        if shift != length:
+            prev, cur, length = cur, {}, shift
+        body = cur[k] = encode(first) + sep + prev[up] if up else encode(first)
+        write(f',{head}{encode(base)},{key}"edges": [{sep[1:]}{body}{key}]{item}}}')
     write(item[:-2] + "]")
 
 
@@ -268,15 +262,14 @@ def _write_decomposition(report):
     Python work here is linear in paths plus edges."""
     write = sys.stdout.write
     encode = functools.cache(encode_basestring_ascii)
-    blocks = [(b.fields_json(), b.index_paths) for b in report.blocks]
 
     def write_blocks(depth):
         item = "\n" + "  " * (depth + 1)
         opener = "["
-        for fields, paths in blocks:
+        for block in report.blocks:
             write(opener + item)
-            write_paths = functools.partial(_write_paths, write, paths, encode)
-            _write_object(write, fields, {"paths": write_paths}, depth + 1)
+            write_paths = functools.partial(_write_paths, write, block, encode)
+            _write_object(write, block.fields_json(), {"paths": write_paths}, depth + 1)
             opener = ","
         write(item[:-2] + "]")
 

@@ -370,42 +370,50 @@ def no_exit_condition(g: Graph) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def path_tree(g: Graph, end: str, length_bound=None, avoid=()):
+    """The paths ending at `end` as a tree, (bases, first, parent).
+
+    Path k starts at bases[k] and is the edge first[k] followed by path
+    parent[k]; path 0 is the empty path at `end`.  Each level is grown at
+    the front of the one before and sorted by (first edge, parent index),
+    which is `Path.sort_key` order.  A path of length `length_bound` is
+    not grown.  A path that starts with the edge sequence `avoid` (when
+    nonempty) is neither kept nor grown; its tail was kept, so only its
+    first edge can complete the copy, and only then are parents walked.
+    """
+    nodes = [(None, None, end)]  # (first edge, parent index, base)
+
+    def completes(k, j=1):  # does avoid[0] q_k start with `avoid`?
+        while j < len(avoid) and nodes[k][0] == avoid[j]:
+            k, j = nodes[k][1], j + 1
+        return j == len(avoid)
+
+    head, level, length = avoid[0] if avoid else None, range(1), 0
+    while level and (length_bound is None or length < length_bound):
+        grown = [
+            (e.id, k, e.src)
+            for k in level
+            for e in g.in_edges(nodes[k][2])
+            if e.id != head or not completes(k)
+        ]
+        grown.sort()
+        level, length = range(len(nodes), len(nodes) + len(grown)), length + 1
+        nodes += grown
+    first, parent, bases = zip(*nodes)
+    return bases, first, parent
+
+
+def tree_paths(end: str, bases, first, parent):
+    """The `Path`s of a `path_tree` into `end`, in its order."""
+    edges = [()]
+    for eid, k in zip(first[1:], parent[1:]):
+        edges.append((eid,) + edges[k])
+    return tuple(map(Path, bases, edges, [end] * len(bases)))
+
+
 def paths_up_to(g: Graph, max_len: int):
     """Every path of length <= max_len, sorted by (length, edges, base)."""
-    out = [g.empty_path(v) for v in g.vertices]
-    frontier = list(out)
-    for _ in range(max_len):
-        nxt = []
-        for p in frontier:
-            for e in g.out_edges(p.end):
-                nxt.append(Path(p.base, p.edges + (e.id,), e.dst))
-        out.extend(nxt)
-        frontier = nxt
-    out.sort(key=Path.sort_key)
-    return tuple(out)
-
-
-def _paths_ending_at(g: Graph, end: str, length_bound, avoid=()):
-    """Paths ending at `end`, grown edge by edge at their front.
-
-    A path of length `length_bound` is not grown further.  A path that
-    starts with the edge sequence `avoid` (when nonempty) is neither kept
-    nor grown; since every other path was checked when it was emitted,
-    only the fresh front can complete a copy.
-    """
-    t = len(avoid)
-    out = []
-    stack = [(end, ())]
-    while stack:
-        base, edge_ids = stack.pop()
-        out.append(Path(base, edge_ids, end))
-        if length_bound is not None and len(edge_ids) >= length_bound:
-            continue
-        for e in g.in_edges(base):
-            new = (e.id,) + edge_ids
-            if t and new[:t] == avoid:
-                continue
-            stack.append((e.src, new))
+    out = [p for v in g.vertices for p in tree_paths(v, *path_tree(g, v, max_len))]
     out.sort(key=Path.sort_key)
     return tuple(out)
 
@@ -429,7 +437,7 @@ def paths_into(g: Graph, v: str, length_bound=None):
             raise InfiniteEnumerationError(
                 f"{v} is not a sink; unbounded enumeration is only supported into sinks"
             )
-    return _paths_ending_at(g, v, length_bound)
+    return tree_paths(v, *path_tree(g, v, length_bound))
 
 
 def paths_into_cycle(g: Graph, c: Cycle, length_bound=None):
@@ -444,7 +452,7 @@ def paths_into_cycle(g: Graph, c: Cycle, length_bound=None):
         raise InfiniteEnumerationError(
             "a cycle with an exit feeds unboundedly many paths; pass length_bound"
         )
-    return _paths_ending_at(g, c.base, length_bound, c.path.edges)
+    return tree_paths(c.base, *path_tree(g, c.base, length_bound, c.path.edges))
 
 
 def cycle_power(c: Cycle, k: int) -> Path:

@@ -10,15 +10,20 @@ per cycle:
   the paths ending at c.base that do not contain the based cycle,
   regraded the same way.
 
-Each generator image, and the image of every monomial p q*, is a
-monomial matrix given in closed form by ``GeneratorImages.apply``;
-``phi`` only wraps the report.  The vertex, edge and ghost tables are
-built on first read, which only ``verify_phi`` (behind ``verify-iso``)
-does: it replays every defining relation on them by products of their
-unit dicts, so it checks the closed form rather than trusting it.
-``phi_inverse_basis`` and ``pull_back`` invert the map explicitly,
-sending the matrix unit e_ij(x^(w t)) back to the canonical form of
-q_i c^w q_j* (a negative w putting the cycle power on the ghost side).
+These index paths are closed under dropping their first edge, so a
+block keeps them as a tree rooted at the empty path, with a child table
+(k, e) -> index of e q_k.  Each generator image, and the image of every
+monomial p q*, is a monomial matrix given in closed form by
+``GeneratorImages.apply``, which walks p and q through that table and
+never concatenates paths; ``phi`` only wraps the report.  The vertex,
+edge and ghost tables are built on first read, which only
+``verify_phi`` (behind ``verify-iso``) does: it replays every defining
+relation on them by products of their unit dicts, so it checks the
+closed form rather than trusting it.  ``phi_inverse_basis`` and
+``pull_back`` invert the map explicitly, sending the matrix unit
+e_ij(x^(w t)) back to the canonical form of q_i c^w q_j*, with q_i and
+q_j read off the tree (a negative w putting the cycle power on the
+ghost side).
 
 ``classify`` reports the graded structure flags; they all reduce to the
 no-exit condition.  ``dim_series_check`` compares graded dimensions on
@@ -34,14 +39,12 @@ from typing import NamedTuple
 from .gmatrix import GradedMatrixAlgebra, _add_into, unit_product
 from .graph import (
     Graph,
+    GraphError,
     Path,
-    concat,
-    cycle_power,
-    factor_through_cycle,
     no_exit_condition,
-    paths_into,
-    paths_into_cycle,
+    path_tree,
     sinks,
+    tree_paths,
 )
 from .lpa import LeavittAlgebra, LpaElement, Monomial
 from .scalar import LaurentRing
@@ -82,17 +85,8 @@ class TypeReport(NamedTuple):
     note: str
 
     def to_json(self) -> dict:
-        return {
-            "no_exit": self.no_exit,
-            "graded_self_injective": self.graded_self_injective,
-            "graded_regular": self.graded_regular,
-            "graded_sigma_v": self.graded_sigma_v,
-            "graded_type_one": self.graded_type_one,
-            "block_count": self.block_count,
-            "graded_prime": self.graded_prime,
-            "central_triple": list(self.central_triple) if self.central_triple else None,
-            "note": self.note,
-        }
+        triple = self.central_triple
+        return dict(self._asdict(), central_triple=list(triple) if triple else None)
 
 
 def classify(g: Graph) -> TypeReport:
@@ -131,59 +125,71 @@ class Block:
     """One matrix summand: M_n(K) at a sink, M_n(K[x^t, x^(-t)]) at a
     cycle of length t, with its index paths and grading shifts.
 
-    `index_paths[k]` is the k-th basis path into the anchor (the sink, or
-    the cycle base, cycle-free); `shifts[k]` is its length.  `cycle` is
-    None at a sink: there every path into the anchor is an index path,
-    every winding is 0 and `t` counts as 1.  Blocks compare by identity.
+    The index paths q_0, ..., q_(n-1) are the paths into the anchor (the
+    sink, or the cycle base, cycle-free), kept as the tree that
+    `graph.path_tree` grows: q_k starts at `bases[k]` and is the edge
+    `first[k]` followed by q_(parent[k]).  `shifts[k]` is the length of
+    q_k and `columns[v]` lists the k with s(q_k) = v; the child table
+    behind `locate` and the `Path`s of `index_paths` are built when first
+    read.  `cycle` is None at a sink: there every path into the anchor is
+    an index path, every winding is 0 and `t` is 1.  Blocks compare by
+    identity.
     """
 
-    def __init__(self, anchor: str, cycle, index_paths: tuple, shifts: tuple,
-                 algebra: GradedMatrixAlgebra):
-        self.anchor = anchor
-        self.cycle = cycle
-        self.index_paths = index_paths
-        self.shifts = shifts
-        self.algebra = algebra
-
-    @property
-    def kind(self) -> str:
-        return "sink" if self.cycle is None else "cycle"
-
-    @property
-    def n(self) -> int:
-        return len(self.index_paths)
-
-    @property
-    def t(self) -> int:
-        return 1 if self.cycle is None else self.cycle.length
+    def __init__(self, anchor: str, cycle, bases, first, parent, base):
+        self.anchor, self.cycle, self.n = anchor, cycle, len(bases)
+        self.bases, self.first, self.parent = bases, first, parent
+        self.kind, self.t = ("sink", 1) if cycle is None else ("cycle", cycle.length)
+        shifts, self.columns = [0], {anchor: [0]}
+        for k, (up, v) in enumerate(zip(parent[1:], bases[1:]), 1):
+            shifts.append(shifts[up] + 1)
+            self.columns.setdefault(v, []).append(k)
+        self.shifts = tuple(shifts)
+        self.algebra = GradedMatrixAlgebra(base, self.shifts)
 
     @cached_property
-    def _index(self) -> dict:
-        return {q: k for k, q in enumerate(self.index_paths)}
+    def _child(self) -> dict:  # (k, e): the index of e q_k
+        return dict(zip(zip(self.parent[1:], self.first[1:]), range(1, self.n)))
 
-    def locate(self, g: Graph, p: Path, k: int):
-        """(i, w) with p q_k = q_i c^w; needs r(p) = s(q_k)."""
-        path, w = concat(p, self.index_paths[k]), 0
-        if self.cycle is not None:
-            path, w = factor_through_cycle(g, self.cycle, path)
-        i = self._index.get(path)
-        if i is None:
-            raise VerificationError(
-                f"path {path} missed the index set of the {self.kind} block at {self.anchor}"
-            )
-        return i, w
+    @cached_property
+    def index_paths(self) -> tuple:
+        return tree_paths(self.anchor, self.bases, self.first, self.parent)
+
+    def locate(self, p: Path, k: int):
+        """(i, w) with p q_k = q_i c^w; needs r(p) = s(q_k).  Walks p's
+        edges from last to first through the child table; at a cycle block
+        e q_j is no index path only when it is the cycle itself (no cycle
+        has an exit), and the walk goes on from q_0 with w one higher."""
+        if p.end != self.bases[k]:
+            raise GraphError(f"paths do not compose: {p.end} != {self.bases[k]}")
+        child, w = self._child, 0
+        for e in reversed(p.edges):
+            i = child.get((k, e))
+            if i is None:
+                if self.cycle is None or e != self.cycle.path.edges[0]:
+                    raise VerificationError(
+                        f"{e} q_{k} missed the index set of the {self.kind} block at {self.anchor}"
+                    )
+                i, w = 0, w + 1
+            k = i
+        return k, w
+
+    def _path(self, k: int, w: int = 0) -> Path:
+        """q_k c^w, read off the tree by walking k's parents."""
+        base, edges = self.bases[k], []
+        while k:
+            edges.append(self.first[k])
+            k = self.parent[k]
+        if w:
+            edges += self.cycle.path.edges * w
+        return Path(base, tuple(edges), self.anchor)
 
     def preimage(self, i: int, j: int, w: int = 0) -> Monomial:
         """The path pair q_i c^w q_j* mapping to the unit e_ij(x^(w t)); for
         w < 0 the cycle power sits on the ghost side, q_i (q_j c^(-w))*."""
-        qi, qj = self.index_paths[i], self.index_paths[j]
-        if w == 0:
-            return Monomial(qi, qj)
-        if self.cycle is None:
+        if w and self.cycle is None:
             raise ValueError("sink blocks carry no cycle power; w must be 0")
-        if w > 0:
-            return Monomial(concat(qi, cycle_power(self.cycle, w)), qj)
-        return Monomial(qi, concat(qj, cycle_power(self.cycle, -w)))
+        return Monomial(self._path(i, max(w, 0)), self._path(j, max(-w, 0)))
 
     def fields_json(self) -> dict:
         """Every field of `to_json` but the index paths; the CLI writes
@@ -239,16 +245,11 @@ def decompose(algebra_or_graph, field=None) -> DecompositionReport:
             "a cycle has an exit; the graded matrix decomposition does not apply"
         )
 
-    def block(anchor, cycle, paths, base):
-        shifts = tuple(len(p.edges) for p in paths)
-        return Block(anchor, cycle, paths, shifts, GradedMatrixAlgebra(base, shifts))
-
     K = algebra.field
-    blocks = [block(v, None, paths_into(g, v), K) for v in sorted(sinks(g))]
-    blocks += [
-        block(c.base, c, paths_into_cycle(g, c), LaurentRing(K, c.length))
-        for c in g.no_exit_cycles
-    ]
+    blocks = []
+    for v, c in [(v, None) for v in sorted(sinks(g))] + [(c.base, c) for c in g.no_exit_cycles]:
+        avoid, base = ((), K) if c is None else (c.path.edges, LaurentRing(K, c.length))
+        blocks.append(Block(v, c, *path_tree(g, v, avoid=avoid), base))
     if not blocks:
         raise VerificationError("no sinks and no cycles in a finite graph; impossible")
     return DecompositionReport(algebra=algebra, blocks=tuple(blocks))
@@ -265,9 +266,9 @@ class GeneratorImages:
     For each block with index paths q_0, ..., q_(n-1):
 
     * vertex u: sum of e_kk over k with s(q_k) = u;
-    * edge f: for each k with s(q_k) = r(f), the path f q_k ends at the
-      block anchor and factors as q_i c^w, contributing e_ik(x^(w t))
-      (w = 0 always at a sink block);
+    * edge f: for each k with s(q_k) = r(f), e_ik with q_i = f q_k the
+      child of q_k along f; at a cycle block f q_k may instead be the
+      cycle itself, giving e_0k(x^t);
     * ghost f: the star of the image of f.
 
     Degrees come out right automatically: w t + len(q_i) - len(q_k) = 1.
@@ -310,17 +311,14 @@ class GeneratorImages:
         (i_p, i_q) for every column k with s(q_k) = r(p), where
         p q_k = q_(i_p) c^(w_p) and q q_k = q_(i_q) c^(w_q).
         """
-        g = self.report.graph
         out = []
         for block in self.report.blocks:
-            base = block.algebra.base
+            base, columns, locate = block.algebra.base, block.columns, block.locate
             units = []
             for m, c in x.terms.items():
-                for k, q in enumerate(block.index_paths):
-                    if q.base != m.p.end:
-                        continue
-                    i, wp = block.locate(g, m.p, k)
-                    j, wq = block.locate(g, m.q, k)
+                for k in columns.get(m.p.end, ()):
+                    i, wp = locate(m.p, k)
+                    j, wq = locate(m.q, k)
                     units.append((i, j, base.monomial(c, (wp - wq) * block.t)))
             out.append(block.algebra.sum_of_units(units))
         return tuple(out)
