@@ -4,9 +4,10 @@ Every command reads a graph from --input (JSON: {"vertices": [...],
 "edges": [{"id", "src", "dst"}, ...]}) and writes a report to stdout,
 JSON by default, aligned text with --format text.  Every JSON report is
 the text of ``json.dumps(report, indent=2, sort_keys=True)``; `decompose`
-writes its own, piece by piece, since its index paths hold Θ(n²) edge
-ids in a block of size n, and the others go through `_json_text`.  Every
-command computes its whole report before it writes the first byte.
+and `verify-iso` write their own, piece by piece, since the index paths
+of a block of size n hold Θ(n²) edge ids and a replay makes |V|² + |E|²
+checks, and the others go through `_json_text`.  Every command computes
+its whole report before it writes the first byte.
 
 Exit codes: 0 success; 1 malformed input (nothing on stdout), which
 includes an --input or --element file that cannot be read or is not
@@ -153,7 +154,7 @@ def _json_text(obj):
     The stdlib's indented encoding is pure Python.  Here containers are
     walked in Python, every dict or list of scalars is one C-encoder call,
     and so is every list of flat dicts (str keys, scalar values), such as
-    the checks of ``verify-iso``; the pieces are joined once at the end.
+    the rows of ``dims``; the pieces are joined once at the end.
     """
     chunks = []
     _encode_into(chunks, obj, 0)
@@ -277,6 +278,73 @@ def _write_decomposition(report):
     write("\n")
 
 
+def _write_list(write, texts, depth, size=1 << 16):
+    """Write a non-empty list at `depth` whose items have the `texts`, each
+    opening with its own line break and indentation, in chunks of about
+    `size` characters."""
+    opener, chunk, length = "[", [], 0
+    for text in texts:
+        chunk.append(text)
+        length += len(text)
+        if length >= size:
+            write(opener + ",".join(chunk))
+            opener, chunk, length = ",", [], 0
+    if chunk:
+        write(opener + ",".join(chunk))
+    write("\n" + "  " * depth + "]")
+
+
+def _check_texts(report, depth):
+    """The texts of the check objects of a verification report, items of a
+    list at `depth`, as ``json.dumps(indent=2, sort_keys=True)`` lays them
+    out.  Every check object has the keys instance, passed and relation,
+    so its text is a fixed head, the escaped instance and one of two fixed
+    tails (passed or failed) per relation.  Each id is escaped once; in a
+    pair family the instance is "a,b" (`CheckFamily.labels`), and a row
+    of checks, (a, b) over every b, that all passed is one join."""
+    item = "\n" + "  " * (depth + 1)
+    key = item + "  "
+    head = f'{item}{{{key}"instance": "'
+    flags, start = report.flags, 0
+    for family in report.families:
+        tails = [
+            tuple(f'",{key}"passed": {ok},{key}"relation": {rel}{item}}}' for ok in ("false", "true"))
+            for rel in map(encode_basestring_ascii, family.relations)
+        ]
+        ids = [encode_basestring_ascii(i)[1:-1] for i in family.ids]
+        if family.pairs:
+            ((fail, ok),) = tails
+            passing = [b + ok for b in ids]
+            failing = [b + fail for b in ids]
+            for a in ids:
+                pre, stop = head + a + ",", start + len(ids)
+                row = flags[start:stop]
+                if all(row):
+                    yield pre + ("," + pre).join(passing)
+                else:
+                    yield ",".join([pre + (y if f else n) for y, n, f in zip(passing, failing, row)])
+                start = stop
+        else:
+            for i in ids:
+                for tail in tails:
+                    yield head + i + tail[flags[start]]
+                    start += 1
+
+
+def _write_verification(report):
+    """Write ``json.dumps(report.to_json(), indent=2, sort_keys=True)`` and
+    a newline to stdout, the checks in chunks of bounded size, without
+    building a check object or the whole text."""
+    write = sys.stdout.write
+    fields = {"all_passed": report.all_passed, "failed": report.failed, "total": report.total}
+
+    def write_checks(depth):
+        _write_list(write, _check_texts(report, depth), depth)
+
+    _write_object(write, fields, {"checks": write_checks}, 0)
+    write("\n")
+
+
 # -- commands ----------------------------------------------------------------
 
 
@@ -351,11 +419,11 @@ def cmd_verify_iso(args) -> int:
     if args.corrupt:
         _corrupt(images)
     result = verify_phi(images)
-    data = result.to_json()
-    lines = [f"checks: {data['total']}, failed: {data['failed']}"]
-    for c in result.failures():
-        lines.append(f"FAIL {c.relation} at {c.instance}")
-    _emit(args, data, lines)
+    lines = chain(
+        [f"checks: {result.total}, failed: {result.failed}"],
+        (f"FAIL {c.relation} at {c.instance}" for c in result.failures()),
+    )
+    _emit(args, result, lines, _write_verification)
     return 0 if result.all_passed else 3
 
 

@@ -33,7 +33,8 @@ both sides of phi degree by degree.
 from __future__ import annotations
 
 from functools import cached_property
-from operator import and_
+from itertools import chain, compress, islice
+from operator import attrgetter
 from typing import NamedTuple
 
 from .gmatrix import GradedMatrixAlgebra, _add_into, unit_product
@@ -298,8 +299,23 @@ class GeneratorImages:
         ghost = self.report.algebra.ghost
         return {e.id: self.apply(ghost(e.id)) for e in self.report.graph.edges}
 
-    def zero(self):
+    @cached_property
+    def _zero(self) -> tuple:
         return tuple(b.algebra.zero() for b in self.report.blocks)
+
+    @cached_property
+    def _blocks_at(self) -> dict:  # vertex v: the blocks with a column at v
+        out = {}
+        for block in self.report.blocks:
+            for v in block.columns:
+                out.setdefault(v, []).append(block)
+        return out
+
+    def zero(self):
+        """The zero of every block.  A matrix is never changed after
+        construction, so these zeros are shared: every image that misses a
+        block holds that block's zero."""
+        return self._zero
 
     def identity(self):
         return tuple(b.algebra.identity() for b in self.report.blocks)
@@ -309,19 +325,25 @@ class GeneratorImages:
 
         In each block, a term c p q* puts c x^((w_p - w_q) t) at
         (i_p, i_q) for every column k with s(q_k) = r(p), where
-        p q_k = q_(i_p) c^(w_p) and q q_k = q_(i_q) c^(w_q).
+        p q_k = q_(i_p) c^(w_p) and q q_k = q_(i_q) c^(w_q).  Only the
+        blocks with a column at r(p) are visited; the others get their
+        zero.
         """
-        out = []
-        for block in self.report.blocks:
-            base, columns, locate = block.algebra.base, block.columns, block.locate
-            units = []
-            for m, c in x.terms.items():
-                for k in columns.get(m.p.end, ()):
-                    i, wp = locate(m.p, k)
-                    j, wq = locate(m.q, k)
-                    units.append((i, j, base.monomial(c, (wp - wq) * block.t)))
-            out.append(block.algebra.sum_of_units(units))
-        return tuple(out)
+        blocks_at = self._blocks_at
+        units = {}  # block: its units, in term order, then column order
+        for m, c in x.terms.items():
+            p, q = m
+            for block in blocks_at.get(p.end, ()):
+                locate, t, monomial = block.locate, block.t, block.algebra.base.monomial
+                add = units.setdefault(block, []).append
+                for k in block.columns[p.end]:
+                    i, wp = locate(p, k)
+                    j, wq = locate(q, k)
+                    add((i, j, monomial(c, (wp - wq) * t)))
+        return tuple(
+            zero if b not in units else b.algebra.sum_of_units(units[b])
+            for b, zero in zip(self.report.blocks, self._zero)
+        )
 
 
 def phi(report: DecompositionReport) -> GeneratorImages:
@@ -344,29 +366,103 @@ class Check(NamedTuple):
         return {"relation": relation, "instance": instance, "passed": passed}
 
 
-class VerificationReport(NamedTuple):
-    checks: tuple
+class CheckFamily(NamedTuple):
+    """A run of consecutive checks of a report: one check per relation of
+    `relations` for each instance in turn.  The instances are the `ids`,
+    or with `pairs` (one relation only) the texts "a,b" over a in `ids`,
+    then b in `ids`."""
+
+    relations: tuple
+    ids: tuple
+    pairs: bool = False
+
+    @property
+    def size(self) -> int:
+        return len(self.relations) * len(self.ids) ** (2 if self.pairs else 1)
+
+    def labels(self):
+        """The (relation, instance) of each check, in order."""
+        ids = self.ids
+        if self.pairs:
+            (relation,) = self.relations
+            return ((relation, f"{a},{b}") for a in ids for b in ids)
+        return ((r, i) for i in ids for r in self.relations)
+
+
+class VerificationReport:
+    """The outcome of `verify_phi`: `flags`, one bool per check in report
+    order, labelled by the runs of `families` (`CheckFamily`).  `checks`,
+    the tuple of `Check`s, is built when first read; the counts, the
+    failures and the CLI's writer read the flags.  Reports compare by
+    identity."""
+
+    def __init__(self, families, flags):
+        self.families, self.flags = tuple(families), flags
+
+    @cached_property
+    def checks(self) -> tuple:
+        labels = chain.from_iterable(f.labels() for f in self.families)
+        return tuple(Check(r, i, ok) for (r, i), ok in zip(labels, self.flags))
 
     @property
     def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+        return all(self.flags)
+
+    @property
+    def total(self) -> int:
+        return len(self.flags)
+
+    @property
+    def failed(self) -> int:
+        return self.flags.count(False)
 
     def failures(self):
-        return tuple(c for c in self.checks if not c.passed)
+        """The failed `Check`s, in report order; only the families with a
+        failure are labelled."""
+        out, start, flags = [], 0, self.flags
+        for family in self.families:
+            stop = start + family.size
+            if False in islice(flags, start, stop):
+                out += (
+                    Check(r, i, False)
+                    for (r, i), ok in zip(family.labels(), islice(flags, start, stop))
+                    if not ok
+                )
+            start = stop
+        return tuple(out)
 
     def to_json(self) -> dict:
         return {
             "all_passed": self.all_passed,
-            "total": len(self.checks),
-            "failed": len(self.failures()),
+            "total": self.total,
+            "failed": self.failed,
             "checks": [c.to_json() for c in self.checks],
         }
 
 
-def _block_view(table: dict, bi: int):
-    """The unit dicts and the row indexes of block `bi` of a table of images."""
-    mats = [(key, images[bi]) for key, images in table.items()]
-    return {key: m.units for key, m in mats}, {key: m.row_index for key, m in mats}
+def _nonzero_blocks(images, nblocks: int) -> list:
+    """For each tuple of block images, the indexes of its nonzero ones;
+    each tuple is scanned by one C-level pass."""
+    return [list(compress(range(nblocks), map(attrgetter("units"), mats))) for mats in images]
+
+
+def _by_block(nonzero, nblocks: int) -> list:
+    """Per block, the positions of the images nonzero there, ascending."""
+    out = [[] for _ in range(nblocks)]
+    for pos, bis in enumerate(nonzero):
+        for bi in bis:
+            out[bi].append(pos)
+    return out
+
+
+def _holders(positions, rows) -> dict:
+    """Row k: the positions among `positions` whose image, of row index
+    `rows[pos]`, stores row k."""
+    out = {}
+    for pos in positions:
+        for k in rows[pos]:
+            out.setdefault(k, []).append(pos)
+    return out
 
 
 def verify_phi(images: GeneratorImages) -> VerificationReport:
@@ -383,100 +479,154 @@ def verify_phi(images: GeneratorImages) -> VerificationReport:
     product is one ``unit_product`` call against the right factor's row
     index (built at most once per image and kept), a sum merges unit
     dicts, a result is compared with the wanted unit dict and a zero is
-    an empty dict.  A relation holds when it holds in every block.  So a
-    product of two monomial images costs at most n scalar products, and
-    no relation builds a matrix object.
+    an empty dict.  A relation holds when it holds in every block.
+
+    A product with a zero factor is zero, and a product x y of images is
+    zero unless some stored column k of x is a stored row of y.  So in
+    each block the replay reads its support off the tables: the vertices
+    S_V with a nonzero image there, and the edges S_E whose edge or ghost
+    image, or the image of whose source or range, is nonzero there.  It
+    multiplies (u, u) for u in S_V and the pairs (u, v) that meet through
+    a map from row k to the vertex images storing row k, likewise the
+    ghost-edge pairs (e1, e2) for e1 in S_E, and runs the endpoint and
+    range checks over S_E and its sources.  Every other flag compares
+    two zeros or tests a zero product, so it holds and keeps its
+    preallocated True.  A block thus makes at most |S_V(b)| + 6|S_E(b)|
+    kernel calls plus one per meeting pair.  The grading and coverage
+    checks skip zero images, which are homogeneous of every degree.
     """
     g = images.report.graph
+    blocks = images.report.blocks
     vs, es = g.vertices, g.edges
-    vertices, edges, ghosts = images.vertices, images.edges, images.ghosts
+    nv, ne, nb = len(vs), len(es), len(blocks)
+    vimg = [images.vertices[v] for v in vs]
+    eimg = [images.edges[e.id] for e in es]
+    gimg = [images.ghosts[e.id] for e in es]
+    vpos = {v: i for i, v in enumerate(vs)}
+    src = [vpos[e.src] for e in es]
+    dst = [vpos[e.dst] for e in es]
+    incident = [[] for _ in vs]  # vertex: the edges into and out of it
+    outgoing = [[] for _ in vs]
+    for k, (s, d) in enumerate(zip(src, dst)):
+        incident[s].append(k)
+        incident[d].append(k)
+        outgoing[s].append(k)
+    sources = [v for v in vs if g.out_edges(v)]
+
+    # the report positions of the families; a flag is cleared where a
+    # block computes it False
+    ident = nv * nv
+    ends = ident + 1
+    contract = ends + 2 * ne
+    ranges = contract + ne * ne
+    rpos = {vpos[v]: ranges + i for i, v in enumerate(sources)}
+    vdeg = ranges + len(sources)
+    edeg = vdeg + nv
+    cover = edeg + ne
+    passed = [True] * (cover + nb)
+
+    vnz, enz, gnz = _nonzero_blocks(vimg, nb), _nonzero_blocks(eimg, nb), _nonzero_blocks(gimg, nb)
+    vsupport, esupport, gsupport = _by_block(vnz, nb), _by_block(enz, nb), _by_block(gnz, nb)
     product = unit_product
-    # the flags of the relation checks, in report order; each block ANDs
-    # its own flags into them
-    passed = None
-    for bi, block in enumerate(images.report.blocks):
+
+    for bi, block in enumerate(blocks):
         base = block.algebra.base
         mul, add, is_zero = base.mul, base.add, base.is_zero
-        vu, vr = _block_view(vertices, bi)
-        eu, er = _block_view(edges, bi)
-        gu, gr = _block_view(ghosts, bi)
-        flags = []
-        flag = flags.append
+        V = vsupport[bi]
+        E = set(esupport[bi]).union(gsupport[bi], *(incident[v] for v in V))
+        vu = {v: vimg[v][bi].units for v in V}
+        vr = {v: vimg[v][bi].row_index for v in V}
 
         # A1: vertices are orthogonal idempotents
-        for u in vs:
+        holders = _holders(V, vr)
+        for u in V:
             x = vu[u]
-            for v in vs:
+            meet = {v for _, k in x for v in holders.get(k, ())}
+            meet.add(u)
+            row = u * nv
+            for v in meet:
                 p = product(x, vr[v], mul, add, is_zero)
-                flag(p == x if u == v else not p)
+                if not (p == x if u == v else not p):
+                    passed[row + v] = False
 
         # the vertex images resolve the identity
         acc = {}
-        for v in vs:
+        for v in V:
             for key, y in vu[v].items():
                 _add_into(acc, key, y, add, is_zero)
-        flag(acc == block.algebra.identity().units)
+        if acc != block.algebra.identity().units:
+            passed[ident] = False
 
         # A2: endpoint relations for edges and ghosts
-        for e in es:
-            f, h = eu[e.id], gu[e.id]
-            flag(
-                product(vu[e.src], er[e.id], mul, add, is_zero) == f
-                and product(f, vr[e.dst], mul, add, is_zero) == f
-            )
-            flag(
-                product(vu[e.dst], gr[e.id], mul, add, is_zero) == h
-                and product(h, vr[e.src], mul, add, is_zero) == h
-            )
+        eu = {e: eimg[e][bi].units for e in E}
+        er = {e: eimg[e][bi].row_index for e in E}
+        gu = {e: gimg[e][bi].units for e in E}
+        gr = {e: gimg[e][bi].row_index for e in E}
+        for e in E:
+            f, h = eu[e], gu[e]
+            s, d = vimg[src[e]][bi], vimg[dst[e]][bi]
+            if not (
+                product(s.units, er[e], mul, add, is_zero) == f
+                and product(f, d.row_index, mul, add, is_zero) == f
+            ):
+                passed[ends + 2 * e] = False
+            if not (
+                product(d.units, gr[e], mul, add, is_zero) == h
+                and product(h, s.row_index, mul, add, is_zero) == h
+            ):
+                passed[ends + 2 * e + 1] = False
 
         # CK1: ghost-edge contraction
-        for e1 in es:
-            x, want = gu[e1.id], vu[e1.dst]
-            for e2 in es:
-                p = product(x, er[e2.id], mul, add, is_zero)
-                flag(p == want if e1.id == e2.id else not p)
+        holders = _holders(E, er)
+        for e1 in E:
+            x, want = gu[e1], vimg[dst[e1]][bi].units
+            meet = {e2 for _, k in x for e2 in holders.get(k, ())}
+            meet.add(e1)
+            row = contract + e1 * ne
+            for e2 in meet:
+                p = product(x, er[e2], mul, add, is_zero)
+                if not (p == want if e1 == e2 else not p):
+                    passed[row + e2] = False
 
         # CK2: range decomposition at every non-sink
-        for v in vs:
-            out = g.out_edges(v)
-            if not out:
-                continue
+        for v in {src[e] for e in E}:
             acc = {}
-            for e in out:
-                for key, y in product(eu[e.id], gr[e.id], mul, add, is_zero).items():
-                    _add_into(acc, key, y, add, is_zero)
-            flag(acc == vu[v])
+            for e in outgoing[v]:
+                f = eimg[e][bi].units
+                if f:
+                    for key, y in product(f, gimg[e][bi].row_index, mul, add, is_zero).items():
+                        _add_into(acc, key, y, add, is_zero)
+            if acc != vimg[v][bi].units:
+                passed[rpos[v]] = False
 
-        passed = flags if passed is None else list(map(and_, passed, flags))
-
-    labels = [("orthogonal-idempotents", f"{u},{v}") for u in vs for v in vs]
-    labels.append(("identity-resolution", "sum of vertices"))
-    for e in es:
-        labels += (("edge-endpoints", e.id), ("ghost-endpoints", e.id))
-    labels += [("ghost-edge", f"{e1.id},{e2.id}") for e1 in es for e2 in es]
-    labels += [("range-decomposition", v) for v in vs if g.out_edges(v)]
-    checks = [Check(r, i, ok) for (r, i), ok in zip(labels, passed)]
-
-    # grading: generator images are homogeneous of the right degree
-    for v in vs:
-        ok = all(m.is_homogeneous(0) for m in vertices[v])
-        checks.append(Check("vertex-degree-0", v, ok))
-    for e in es:
-        ok = all(m.is_homogeneous(1) for m in edges[e.id])
-        ok = ok and all(m.is_homogeneous(-1) for m in ghosts[e.id])
-        checks.append(Check("edge-degree-1", e.id, ok))
-
-    # the block column spaces are hit: every diagonal unit appears in
-    # some vertex image (so phi does not silently drop a block corner)
-    for bi, block in enumerate(images.report.blocks):
+        # the block column space is hit: every diagonal unit appears in
+        # some vertex image (so phi does not silently drop a block corner)
         hit = [False] * block.n
-        for v in vs:
-            for i, j in vertices[v][bi].units:
+        for v in V:
+            for i, j in vu[v]:
                 if i == j:
                     hit[i] = True
-        checks.append(Check("block-coverage", f"block {bi}", all(hit)))
+        passed[cover + bi] = all(hit)
 
-    return VerificationReport(checks=tuple(checks))
+    # grading: generator images are homogeneous of the right degree
+    for v, (mats, bis) in enumerate(zip(vimg, vnz)):
+        passed[vdeg + v] = all(mats[bi].is_homogeneous(0) for bi in bis)
+    for e in range(ne):
+        ok = all(eimg[e][bi].is_homogeneous(1) for bi in enz[e])
+        passed[edeg + e] = ok and all(gimg[e][bi].is_homogeneous(-1) for bi in gnz[e])
+
+    eids = tuple(e.id for e in es)
+    families = (
+        CheckFamily(("orthogonal-idempotents",), vs, pairs=True),
+        CheckFamily(("identity-resolution",), ("sum of vertices",)),
+        CheckFamily(("edge-endpoints", "ghost-endpoints"), eids),
+        CheckFamily(("ghost-edge",), eids, pairs=True),
+        CheckFamily(("range-decomposition",), tuple(sources)),
+        CheckFamily(("vertex-degree-0",), vs),
+        CheckFamily(("edge-degree-1",), eids),
+        CheckFamily(("block-coverage",), tuple(f"block {bi}" for bi in range(nb))),
+    )
+    return VerificationReport(families, passed)
 
 
 # ---------------------------------------------------------------------------

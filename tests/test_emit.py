@@ -5,8 +5,8 @@ flat dicts, with the C encoder and walks the containers around them; here
 it is compared with the stdlib call on random JSON trees and on random
 lists of flat dicts, and every command of the CLI is run on
 the test corpus with `_json_text` switched back to the stdlib call.
-`decompose` writes its own JSON, which is compared with the library's
-report through the stdlib call on random no-exit graphs.
+`decompose` and `verify-iso` write their own JSON, which is compared with
+the library's report through the stdlib call on random no-exit graphs.
 """
 
 import contextlib
@@ -18,7 +18,8 @@ import tracemalloc
 import pytest
 
 from corpus import build_corpus, build_negative
-from leavitt import Graph, cli, decompose
+from leavitt import Graph, cli, decompose, phi, verify_phi
+from leavitt.structure import VerificationReport
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -312,3 +313,97 @@ def test_decompose_writer_keeps_two_path_lengths():
     finally:
         tracemalloc.stop()
     assert peak < output // 4
+
+
+# -- verify-iso writes its own JSON ------------------------------------------
+#
+# `cli._write_verification` writes each check object from a template and
+# escapes each id once.  The oracle is the library's report through the
+# stdlib encoder, which builds every check object.
+
+verify_ids = st.one_of(
+    st.integers(-50, 50),
+    st.text(st.sampled_from('"\\,\n\t\x00\x1f\x7f é中😀\ud800ab0'), max_size=4),
+)
+
+
+@st.composite
+def verify_graph_data(draw):
+    """A graph of `no_exit_graph_data` with its ids drawn again from
+    `verify_ids`: quotes, backslashes, commas, control characters,
+    non-ASCII text, a lone surrogate and integers."""
+    data = draw(no_exit_graph_data())
+    vs, es = data["vertices"], data["edges"]
+    vnames = draw(st.lists(verify_ids, min_size=len(vs), max_size=len(vs), unique_by=str))
+    enames = draw(st.lists(verify_ids, min_size=len(es), max_size=len(es), unique_by=str))
+    vmap = {str(v): w for v, w in zip(vs, vnames)}
+    return {
+        "vertices": vnames,
+        "edges": [
+            {"id": name, "src": vmap[str(e["src"])], "dst": vmap[str(e["dst"])]}
+            for name, e in zip(enames, es)
+        ],
+    }
+
+
+def _stdout(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+@hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@hypothesis.given(verify_graph_data(), st.sampled_from(["q", "fp:2", "fp:5"]), st.booleans())
+def test_verify_iso_stdout_matches_library_report(tmp_path_factory, data, field, corrupt):
+    path = tmp_path_factory.mktemp("graph") / "graph.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    argv = ["verify-iso", "--input", str(path), "--field", field] + ["--corrupt"] * corrupt
+    images = phi(decompose(Graph.from_json_dict(data), cli._field_arg(field)))
+    if corrupt:
+        cli._corrupt(images)
+    report = verify_phi(images)
+    code = 0 if report.all_passed else 3
+    assert report.all_passed is not corrupt
+    assert _stdout(argv) == (code, json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n")
+    failures = [c for c in report.checks if not c.passed]
+    lines = [f"checks: {len(report.checks)}, failed: {len(failures)}"]
+    lines += [f"FAIL {c.relation} at {c.instance}" for c in failures]
+    assert _stdout(argv + ["--format", "text"]) == (code, "".join(f"{x}\n" for x in lines))
+
+
+@hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@hypothesis.given(verify_graph_data(), st.data())
+def test_check_writer_on_any_flags(data, draw):
+    """Flags cleared at random positions: rows of a pair family that pass,
+    fail in places or fail throughout, and single checks of either kind."""
+    passed = verify_phi(phi(decompose(Graph.from_json_dict(data))))
+    cleared = draw.draw(st.sets(st.integers(0, passed.total - 1), max_size=12))
+    report = VerificationReport(passed.families, [k not in cleared for k in range(passed.total)])
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._write_verification(report)
+    assert out.getvalue() == json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"
+    assert report.failures() == tuple(c for c in report.checks if not c.passed)
+    assert report.failed == len(cleared)
+
+
+def test_verify_iso_holds_less_than_its_output(tmp_path):
+    """On a 400-vertex line, 320401 checks and 33 MB of JSON: the command
+    keeps one flag per check and writes the text in bounded chunks, so its
+    traced peak stays well under the size of what it writes (building the
+    check objects and the whole text held several times that size)."""
+    path = tmp_path / "line400.json"
+    path.write_text(json.dumps(_line(400).to_json_dict()), encoding="utf-8")
+    args = cli.build_parser().parse_args(["verify-iso", "--input", str(path)])
+    sink = _Sink()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            code = cli.cmd_verify_iso(args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert sink.size > 30_000_000
+    assert peak < sink.size // 4

@@ -1,7 +1,12 @@
-"""`verify_phi` replays the relations on unit dicts, block by block; here
-it is compared, check by check, with the replay by `GradedMatrix`
-products it replaced, on random no-exit graphs over Q and F_3 with and
-without one corrupted image unit."""
+"""`verify_phi` replays the relations on unit dicts, block by block, and
+multiplies only the pairs of images that meet; here it is compared,
+check by check, with the replay by `GradedMatrix` products of every
+pair, on random no-exit graphs over Q and F_3 with and without one
+corrupted image unit, and on disjoint unions of such graphs with up to
+three.  A work pin shows the replay and the tables linear in the number
+of components."""
+
+from collections import Counter
 
 import pytest
 
@@ -16,7 +21,8 @@ from leavitt import (
     phi,
     verify_phi,
 )
-from leavitt.structure import Check
+from leavitt import gmatrix, structure
+from leavitt.structure import Block, Check
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -102,17 +108,10 @@ def no_exit_block_graphs(draw):
     return Graph(vs, keep)
 
 
-@st.composite
-def corrupted_images(draw, field):
-    """The images of a random no-exit graph, untouched or with one unit of
-    one vertex, edge or ghost image changed: a unit added, replaced (by a
-    homogeneous or an inhomogeneous entry) or deleted."""
-    g = draw(no_exit_block_graphs())
-    images = phi(decompose(LeavittAlgebra(g, field)))
-    kinds = ["none", "vertex"] + (["edge", "ghost"] if g.edges else [])
-    kind = draw(st.sampled_from(kinds))
-    if kind == "none":
-        return images
+def corrupt_unit(draw, images, field, kind):
+    """Change one unit of one vertex, edge or ghost image in one block: a
+    unit added, replaced (by a homogeneous or an inhomogeneous entry) or
+    deleted."""
     table = {"vertex": images.vertices, "edge": images.edges, "ghost": images.ghosts}[kind]
     key = draw(st.sampled_from(sorted(table)))
     bi = draw(st.integers(0, len(images.report.blocks) - 1))
@@ -138,7 +137,47 @@ def corrupted_images(draw, field):
     mats = list(table[key])
     mats[bi] = GradedMatrix(M, units)
     table[key] = tuple(mats)
+
+
+def corruption_kinds(g):
+    return ["vertex"] + (["edge", "ghost"] if g.edges else [])
+
+
+@st.composite
+def corrupted_images(draw, field):
+    """The images of a random no-exit graph, untouched or with one unit of
+    one vertex, edge or ghost image changed."""
+    g = draw(no_exit_block_graphs())
+    images = phi(decompose(LeavittAlgebra(g, field)))
+    kind = draw(st.sampled_from(["none"] + corruption_kinds(g)))
+    if kind != "none":
+        corrupt_unit(draw, images, field, kind)
     return images
+
+
+@st.composite
+def corrupted_unions(draw, field):
+    """The images of a disjoint union of 2 to 4 random no-exit graphs, so
+    several blocks whose images miss each other, with 0 to 3 units
+    changed, each in a table and block of its own draw."""
+    vs, es = [], []
+    for c in range(draw(st.integers(2, 4))):
+        part = draw(no_exit_block_graphs())
+        vs += [f"{c}.{v}" for v in part.vertices]
+        es += [(f"{c}.{e.id}", f"{c}.{e.src}", f"{c}.{e.dst}") for e in part.edges]
+    g = Graph(vs, es)
+    images = phi(decompose(LeavittAlgebra(g, field)))
+    for _ in range(draw(st.integers(0, 3))):
+        corrupt_unit(draw, images, field, draw(st.sampled_from(corruption_kinds(g))))
+    return images
+
+
+def assert_same_checks(images):
+    expected = replay_by_matrix_products(images)
+    got = verify_phi(images).checks
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert a == b
 
 
 @pytest.mark.parametrize("field", [Rationals(), PrimeField(3)], ids=["Q", "F3"])
@@ -146,10 +185,74 @@ def test_unit_dict_replay_matches_matrix_product_replay(field):
     @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @hypothesis.given(corrupted_images(field))
     def check(images):
-        expected = replay_by_matrix_products(images)
-        got = verify_phi(images).checks
-        assert len(got) == len(expected)
-        for a, b in zip(got, expected):
-            assert a == b
+        assert_same_checks(images)
 
     check()
+
+
+@pytest.mark.parametrize("field", [Rationals(), PrimeField(3)], ids=["Q", "F3"])
+def test_disjoint_union_replay_matches_matrix_product_replay(field):
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(corrupted_unions(field))
+    def check(images):
+        assert_same_checks(images)
+
+    check()
+
+
+def blocks_graph(k):
+    """k disjoint 3-cycles and k disjoint 3-vertex lines: 2k blocks of size 3."""
+    vs, es = [], []
+    for c in range(k):
+        cyc, line = [f"c{c}_{i}" for i in range(3)], [f"l{c}_{i}" for i in range(3)]
+        vs += cyc + line
+        es += [(f"ce{c}_{i}", cyc[i], cyc[(i + 1) % 3]) for i in range(3)]
+        es += [(f"le{c}_{i}", line[i], line[i + 1]) for i in range(2)]
+    return Graph(vs, es)
+
+
+def _tables_and_replay_work(monkeypatch, k):
+    """(`Block.locate` calls and block matrices built by the three generator
+    tables, kernel calls of the replay) on blocks_graph(k)."""
+    counts = Counter()
+    locate, kernel = Block.locate, gmatrix.unit_product
+    sum_of_units = gmatrix.GradedMatrixAlgebra.sum_of_units
+
+    def counting_sum_of_units(self, units):
+        counts["matrices"] += 1
+        return sum_of_units(self, units)
+
+    def counting_locate(self, p, j):
+        counts["locate"] += 1
+        return locate(self, p, j)
+
+    def counting_kernel(*args):
+        counts["kernel"] += 1
+        return kernel(*args)
+
+    monkeypatch.setattr(Block, "locate", counting_locate)
+    monkeypatch.setattr(gmatrix.GradedMatrixAlgebra, "sum_of_units", counting_sum_of_units)
+    monkeypatch.setattr(structure, "unit_product", counting_kernel)
+    images = phi(decompose(blocks_graph(k)))
+    images.vertices, images.edges, images.ghosts
+    assert counts["kernel"] == 0
+    assert verify_phi(images).all_passed
+    return counts["locate"], counts["matrices"], counts["kernel"]
+
+
+def test_tables_and_replay_work_linear_in_components(monkeypatch):
+    """Every image lives in the blocks of its own component, so the tables
+    locate and the replay multiplies only there: both counts are exactly
+    proportional to the number k of components.  Replaying every vertex
+    pair and edge pair in all 2k blocks took 2k (36k² + 20k + 25k² + 5k)
+    kernel calls."""
+    work10 = _tables_and_replay_work(monkeypatch, 10)
+    work20 = _tables_and_replay_work(monkeypatch, 20)
+    assert work20 == tuple(2 * x for x in work10)
+    # per component, 16 generators of one column each in one block: p and
+    # q located once, 32 calls, and one matrix built for each (2k per
+    # generator were built before, the rest of them zero); every image is
+    # one unit and no two images of a block meet, so a 3-cycle block costs
+    # 3 orthogonality + 12 endpoint + 3 ghost-edge + 3 range calls and a
+    # 3-vertex line block 3 + 8 + 2 + 2
+    assert work10 == (10 * 32, 10 * 16, 10 * 36)

@@ -255,7 +255,8 @@ def _replay_work(monkeypatch, n):
     """(unit products, base-field multiplications, base-field zero tests)
     of the relation replay on an n-vertex line: one sink block of size n.
     A unit product is one call of the kernel `gmatrix.unit_product`, which
-    `verify_phi` runs once per block of every relation product.  Also
+    `verify_phi` runs once per block of every relation product whose
+    factors meet there.  Also
     checks that the replay builds each image's row index exactly once and
     that a second replay builds none."""
     vs = [f"v{i}" for i in range(n)]
@@ -304,8 +305,10 @@ def test_verify_phi_multiplication_count_line_12(monkeypatch):
     coverage reads the diagonal units and tests no entry (the row storage
     made 178, the dense grid storage 97234)."""
     products, mul, is_zero = _replay_work(monkeypatch, 12)
-    # 144 orthogonality + 44 endpoint + 121 ghost-edge + 11 range products
-    assert products == 320
+    # 12 orthogonality + 44 endpoint + 11 ghost-edge + 11 range products:
+    # only the pairs whose images meet are multiplied (all 144 vertex
+    # pairs and 121 edge pairs were, 320 products in all)
+    assert products == 78
     assert mul == 78
     assert mul <= products * 12
     assert is_zero == 34
@@ -317,8 +320,9 @@ def test_verify_phi_work_count_line_40(monkeypatch):
     only stored nonzeros, so zero tests stay below the product count
     (the row storage made 1718 of them, the dense grid storage 10801718)."""
     products, mul, is_zero = _replay_work(monkeypatch, 40)
-    # 1600 orthogonality + 156 endpoint + 1521 ghost-edge + 39 range products
-    assert products == 3316
+    # 40 orthogonality + 156 endpoint + 39 ghost-edge + 39 range products
+    # (3316 when every vertex pair and edge pair was multiplied)
+    assert products == 274
     assert mul == 274
     assert is_zero == 118
     assert is_zero <= products
