@@ -300,16 +300,16 @@ class GeneratorImages:
         return {e.id: self.apply(ghost(e.id)) for e in self.report.graph.edges}
 
     @cached_property
-    def _zero(self) -> tuple:
-        return tuple(b.algebra.zero() for b in self.report.blocks)
+    def _blocks_at(self) -> dict:  # vertex v: the indexes of the blocks with a column at v
+        at = {}
+        for bi, block in enumerate(self.report.blocks):
+            for v in block.columns:
+                at.setdefault(v, []).append(bi)
+        return at
 
     @cached_property
-    def _blocks_at(self) -> dict:  # vertex v: the blocks with a column at v
-        out = {}
-        for block in self.report.blocks:
-            for v in block.columns:
-                out.setdefault(v, []).append(block)
-        return out
+    def _zero(self) -> tuple:
+        return tuple([b.algebra.zero() for b in self.report.blocks])
 
     def zero(self):
         """The zero of every block.  A matrix is never changed after
@@ -329,21 +329,22 @@ class GeneratorImages:
         blocks with a column at r(p) are visited; the others get their
         zero.
         """
-        blocks_at = self._blocks_at
-        units = {}  # block: its units, in term order, then column order
+        blocks, blocks_at = self.report.blocks, self._blocks_at
+        units = {}  # block index: its units, in term order, then column order
         for m, c in x.terms.items():
             p, q = m
-            for block in blocks_at.get(p.end, ()):
+            for bi in blocks_at.get(p.end, ()):
+                block = blocks[bi]
                 locate, t, monomial = block.locate, block.t, block.algebra.base.monomial
-                add = units.setdefault(block, []).append
+                add = units.setdefault(bi, []).append
                 for k in block.columns[p.end]:
                     i, wp = locate(p, k)
                     j, wq = locate(q, k)
                     add((i, j, monomial(c, (wp - wq) * t)))
-        return tuple(
-            zero if b not in units else b.algebra.sum_of_units(units[b])
-            for b, zero in zip(self.report.blocks, self._zero)
-        )
+        out = list(self._zero) if len(units) < len(blocks) else [None] * len(blocks)
+        for bi, block_units in units.items():
+            out[bi] = blocks[bi].algebra.sum_of_units(block_units)
+        return tuple(out)
 
 
 def phi(report: DecompositionReport) -> GeneratorImages:
